@@ -6,15 +6,14 @@ namespace mcd::control
 namespace
 {
 
-/** Slices the trace into fixed instruction intervals. */
+/** Slices the trace into fixed instruction intervals and shakes
+ *  each one. */
 class IntervalCollector : public sim::TraceSink
 {
   public:
     IntervalCollector(const core::ShakerConfig &shaker_cfg,
-                      const core::ThresholdConfig &threshold_cfg,
                       std::uint64_t interval_instrs)
-        : analyzer(shaker_cfg), tcfg(threshold_cfg),
-          interval(interval_instrs)
+        : analyzer(shaker_cfg), interval(interval_instrs)
     {
     }
 
@@ -31,62 +30,35 @@ class IntervalCollector : public sim::TraceSink
     {
         if (segment.empty())
             return;
-        core::NodeHistograms h;
-        analyzer.analyze(segment, h);
-        sim::SchedulePoint pt;
-        pt.atInstr = startInstr;
-        pt.freqs = core::chooseFrequencies(h, tcfg);
-        points.push_back(pt);
+        OfflineInterval iv;
+        iv.startInstr = startInstr;
+        analyzer.analyze(segment, iv.hist);
+        out.intervals.push_back(std::move(iv));
         startInstr += segment.size();
         segment.clear();
     }
 
-    std::vector<sim::SchedulePoint> points;
+    OfflineHistograms out;
 
   private:
     core::SegmentAnalyzer analyzer;
-    core::ThresholdConfig tcfg;
     std::uint64_t interval;
     std::uint64_t startInstr = 0;
     std::vector<sim::InstrTiming> segment;
 };
 
-core::ShakerConfig
-configureShaker(const OfflineConfig &cfg, const sim::SimConfig &scfg,
-                const power::PowerConfig &pcfg)
-{
-    core::ShakerConfig sc = cfg.shaker;
-    sc.domainPowerWeight = pcfg.domainWeight;
-    sc.nominalMhz = scfg.maxMhz;
-    sc.l1LatencyCycles = scfg.l1Latency;
-    sc.l2LatencyCycles = scfg.l2Latency;
-    sc.robSize = scfg.robSize;
-    sc.lsqSize = scfg.lsqSize;
-    sc.intIqSize = scfg.intIqSize;
-    sc.fpIqSize = scfg.fpIqSize;
-    sc.fetchWidth = scfg.fetchWidth;
-    sc.retireWidth = scfg.retireWidth;
-    sc.intIssueWidth = scfg.intIssueWidth;
-    sc.fpIssueWidth = scfg.fpIssueWidth;
-    sc.memIssueWidth = scfg.memIssueWidth;
-    sc.mispredictPenalty = scfg.mispredictPenalty;
-    return sc;
-}
-
 } // namespace
 
-std::vector<sim::SchedulePoint>
-offlineAnalyze(const OfflineConfig &cfg,
-               const workload::Program &program,
-               const workload::InputSet &input,
-               const sim::SimConfig &scfg,
-               const power::PowerConfig &pcfg, std::uint64_t window)
+std::shared_ptr<const OfflineHistograms>
+offlineHistograms(const OfflineConfig &cfg,
+                  const workload::Program &program,
+                  const workload::InputSet &input,
+                  const sim::SimConfig &scfg,
+                  const power::PowerConfig &pcfg, std::uint64_t window)
 {
-    core::ThresholdConfig tcfg = cfg.threshold;
-    tcfg.slowdownPct = cfg.slowdownPct;
-
-    IntervalCollector collector(configureShaker(cfg, scfg, pcfg), tcfg,
-                                cfg.intervalInstrs);
+    IntervalCollector collector(
+        core::shakerConfigFor(cfg.shaker, scfg, pcfg),
+        cfg.intervalInstrs);
     // The shaker consumes every committed instruction's timing
     // record; sampled probes would leave holes in the dependence
     // DAG, so the analysis run is always exact.
@@ -96,27 +68,53 @@ offlineAnalyze(const OfflineConfig &cfg,
     analysis.setTraceSink(&collector);
     analysis.run(window);
     collector.flush();
+    return std::make_shared<const OfflineHistograms>(
+        std::move(collector.out));
+}
 
-    // Apply each interval's setting slightly early: the oracle knows
-    // the future and hides the ramp.
-    std::vector<sim::SchedulePoint> sched = collector.points;
-    for (auto &pt : sched)
-        pt.atInstr = pt.atInstr > cfg.leadInstrs
-                         ? pt.atInstr - cfg.leadInstrs
+std::vector<sim::SchedulePoint>
+offlineSchedule(const OfflineConfig &cfg, const OfflineHistograms &hists)
+{
+    core::ThresholdConfig tcfg = cfg.threshold;
+    tcfg.slowdownPct = cfg.slowdownPct;
+    std::vector<sim::SchedulePoint> sched;
+    sched.reserve(hists.intervals.size());
+    for (const OfflineInterval &iv : hists.intervals) {
+        sim::SchedulePoint pt;
+        // Apply each interval's setting slightly early: the oracle
+        // knows the future and hides the ramp.
+        pt.atInstr = iv.startInstr > cfg.leadInstrs
+                         ? iv.startInstr - cfg.leadInstrs
                          : 0;
+        pt.freqs = core::chooseFrequencies(iv.hist, tcfg);
+        sched.push_back(pt);
+    }
     return sched;
+}
+
+std::vector<sim::SchedulePoint>
+offlineAnalyze(const OfflineConfig &cfg,
+               const workload::Program &program,
+               const workload::InputSet &input,
+               const sim::SimConfig &scfg,
+               const power::PowerConfig &pcfg, std::uint64_t window)
+{
+    return offlineSchedule(
+        cfg, *offlineHistograms(cfg, program, input, scfg, pcfg, window));
 }
 
 sim::RunResult
 offlineRun(const OfflineConfig &cfg, const workload::Program &program,
            const workload::InputSet &input, const sim::SimConfig &scfg,
            const power::PowerConfig &pcfg, std::uint64_t window,
-           std::shared_ptr<const sim::CheckpointSet> checkpoints)
+           std::shared_ptr<const sim::CheckpointSet> checkpoints,
+           std::shared_ptr<const OfflineHistograms> hists)
 {
-    auto sched = offlineAnalyze(cfg, program, input, scfg, pcfg,
-                                window);
+    if (!hists)
+        hists = offlineHistograms(cfg, program, input, scfg, pcfg,
+                                  window);
     sim::Processor proc(scfg, pcfg, program, input);
-    proc.setSchedule(std::move(sched));
+    proc.setSchedule(offlineSchedule(cfg, *hists));
     proc.setCheckpoints(std::move(checkpoints));
     return proc.run(window);
 }

@@ -60,9 +60,30 @@ struct OfflineConfig
     core::ThresholdConfig threshold;
 };
 
+/** One fixed instruction interval of the analyzed production run. */
+struct OfflineInterval
+{
+    /** First committed instruction of the interval. */
+    std::uint64_t startInstr = 0;
+    /** The shaker's per-domain histograms of the interval. */
+    core::NodeHistograms hist;
+};
+
 /**
- * Analyze a production run with future knowledge and produce the
- * frequency schedule to apply on the re-run.
+ * The d-independent half of the oracle: the per-interval shaker
+ * histograms of one production run.  Immutable once built, so one
+ * analysis serves every threshold d on the same workload, input,
+ * window, interval and machine.
+ */
+struct OfflineHistograms
+{
+    std::vector<OfflineInterval> intervals;
+};
+
+/**
+ * Run the exact analysis simulation of a production run and shake
+ * each fixed interval of it (cfg.intervalInstrs, cfg.shaker; never
+ * cfg.slowdownPct, cfg.threshold or cfg.leadInstrs).
  *
  * The analysis run always executes in exact mode: the shaker needs
  * the complete per-instruction event trace, which sampled probes
@@ -74,7 +95,26 @@ struct OfflineConfig
  * @param input   production input set
  * @param scfg    simulator configuration
  * @param pcfg    power configuration
- * @param window  instructions to analyze/schedule
+ * @param window  instructions to analyze
+ */
+std::shared_ptr<const OfflineHistograms>
+offlineHistograms(const OfflineConfig &cfg,
+                  const workload::Program &program,
+                  const workload::InputSet &input,
+                  const sim::SimConfig &scfg,
+                  const power::PowerConfig &pcfg, std::uint64_t window);
+
+/**
+ * The d-dependent half: threshold each interval at cfg.slowdownPct
+ * and request it cfg.leadInstrs early.
+ */
+std::vector<sim::SchedulePoint>
+offlineSchedule(const OfflineConfig &cfg, const OfflineHistograms &hists);
+
+/**
+ * Analyze a production run with future knowledge and produce the
+ * frequency schedule to apply on the re-run:
+ * offlineSchedule(cfg, *offlineHistograms(...)).
  */
 std::vector<sim::SchedulePoint>
 offlineAnalyze(const OfflineConfig &cfg,
@@ -87,14 +127,17 @@ offlineAnalyze(const OfflineConfig &cfg,
  * Convenience: analyze, then re-run the production input under the
  * schedule and return the result.  @p checkpoints (optional) is a
  * prebuilt sampled-mode checkpoint set for the production re-run
- * (sim/checkpoint.hh); ignored in exact mode.
+ * (sim/checkpoint.hh); ignored in exact mode.  @p hists (optional)
+ * is a precomputed offlineHistograms() of the same run, which skips
+ * the analysis.
  */
 sim::RunResult
 offlineRun(const OfflineConfig &cfg, const workload::Program &program,
            const workload::InputSet &input, const sim::SimConfig &scfg,
            const power::PowerConfig &pcfg, std::uint64_t window,
            std::shared_ptr<const sim::CheckpointSet> checkpoints =
-               nullptr);
+               nullptr,
+           std::shared_ptr<const OfflineHistograms> hists = nullptr);
 
 } // namespace mcd::control
 

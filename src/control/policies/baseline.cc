@@ -42,12 +42,9 @@ class BaselinePolicy final : public Policy
         workload::Benchmark bm = workload::makeBenchmark(bench);
         sim::Processor proc(ctx.sim, ctx.power, bm.program, bm.ref);
         proc.setCheckpoints(checkpointsFor(ctx, bench));
-        sim::RunResult r = proc.run(ctx.productionWindow);
-        Outcome o;
-        o.timePs = static_cast<double>(r.timePs);
-        o.energyNj = r.chipEnergyNj;
-        o.timeCiPs = static_cast<double>(r.timeCiPs);
-        o.energyCiNj = r.energyCiNj;
+        Outcome o = outcomeFromRun(proc.run(ctx.productionWindow));
+        // All domains stay at maximum speed: nothing to count.
+        o.reconfigs = 0.0;
         return o;
     }
 

@@ -72,12 +72,11 @@ class GlobalPolicy final : public Policy
             bm.program, bm.ref, ctx.sim, ctx.power,
             ctx.productionWindow, static_cast<Tick>(off.timePs),
             /*iters=*/6, checkpointsFor(ctx, bench));
-        Outcome res;
-        res.timePs = static_cast<double>(g.run.timePs);
-        res.energyNj = g.run.chipEnergyNj;
+        Outcome res = outcomeFromRun(g.run);
+        // One chip-wide frequency for the whole run: no
+        // reconfigurations to report.
+        res.reconfigs = 0.0;
         res.globalFreq = g.freq;
-        res.timeCiPs = static_cast<double>(g.run.timeCiPs);
-        res.energyCiNj = g.run.energyCiNj;
         return res;
     }
 };

@@ -140,13 +140,7 @@ class HybridPolicy final : public Policy
         const PolicyContext &ctx) const override
     {
         workload::Benchmark bm = workload::makeBenchmark(bench);
-        core::PipelineConfig pc;
-        pc.mode = spec.mode("mode");
-        pc.slowdownPct = spec.num("d");
-        pc.profile.maxInstrs = ctx.profileMaxInstrs;
-        pc.analysisWindow = ctx.analysisWindow;
-        core::ProfilePipeline pipe(bm.program, pc);
-        pipe.train(bm.train, ctx.sim, ctx.power);
+        core::ProfilePipeline pipe = trainedPipeline(bench, bm, spec, ctx);
 
         IpcGuardHook guard(spec.num("guard"), ctx.sim.maxMhz);
         // The schema bounds interval to [1, 1e12], so the cast is

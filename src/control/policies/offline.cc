@@ -58,17 +58,15 @@ class OfflinePolicy final : public Policy
         OfflineConfig oc;
         oc.intervalInstrs = ctx.offlineInterval;
         oc.slowdownPct = spec.num("d");
-        sim::RunResult r =
-            offlineRun(oc, bm.program, bm.ref, ctx.sim, ctx.power,
-                       ctx.productionWindow,
-                       checkpointsFor(ctx, bench));
-        Outcome res;
-        res.timePs = static_cast<double>(r.timePs);
-        res.energyNj = r.chipEnergyNj;
-        res.reconfigs = static_cast<double>(r.reconfigs);
-        res.timeCiPs = static_cast<double>(r.timeCiPs);
-        res.energyCiNj = r.energyCiNj;
-        return res;
+        // The analysis half does not depend on d: one per bench,
+        // shared through the context by every d of a sweep.
+        auto hists = oracleFor(ctx, bench, [&] {
+            return offlineHistograms(oc, bm.program, bm.ref, ctx.sim,
+                                     ctx.power, ctx.productionWindow);
+        });
+        return outcomeFromRun(offlineRun(
+            oc, bm.program, bm.ref, ctx.sim, ctx.power,
+            ctx.productionWindow, checkpointsFor(ctx, bench), hists));
     }
 };
 

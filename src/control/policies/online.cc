@@ -64,14 +64,7 @@ class OnlinePolicy final : public Policy
         sim::Processor proc(ctx.sim, ctx.power, bm.program, bm.ref);
         proc.setIntervalHook(&ctl, oc.intervalInstrs);
         proc.setCheckpoints(checkpointsFor(ctx, bench));
-        sim::RunResult r = proc.run(ctx.productionWindow);
-        Outcome res;
-        res.timePs = static_cast<double>(r.timePs);
-        res.energyNj = r.chipEnergyNj;
-        res.reconfigs = static_cast<double>(r.reconfigs);
-        res.timeCiPs = static_cast<double>(r.timeCiPs);
-        res.energyCiNj = r.energyCiNj;
-        return res;
+        return outcomeFromRun(proc.run(ctx.productionWindow));
     }
 
     bool

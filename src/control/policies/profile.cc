@@ -59,13 +59,7 @@ class ProfilePolicy final : public Policy
         const PolicyContext &ctx) const override
     {
         workload::Benchmark bm = workload::makeBenchmark(bench);
-        core::PipelineConfig pc;
-        pc.mode = spec.mode("mode");
-        pc.slowdownPct = spec.num("d");
-        pc.profile.maxInstrs = ctx.profileMaxInstrs;
-        pc.analysisWindow = ctx.analysisWindow;
-        core::ProfilePipeline pipe(bm.program, pc);
-        pipe.train(bm.train, ctx.sim, ctx.power);
+        core::ProfilePipeline pipe = trainedPipeline(bench, bm, spec, ctx);
         core::RuntimeStats rt;
         sim::RunResult r = pipe.runProduction(
             bm.ref, ctx.sim, ctx.power, ctx.productionWindow, &rt,

@@ -15,6 +15,18 @@
 namespace mcd::control
 {
 
+Outcome
+outcomeFromRun(const sim::RunResult &r)
+{
+    Outcome o;
+    o.timePs = static_cast<double>(r.timePs);
+    o.energyNj = r.chipEnergyNj;
+    o.reconfigs = static_cast<double>(r.reconfigs);
+    o.timeCiPs = static_cast<double>(r.timeCiPs);
+    o.energyCiNj = r.energyCiNj;
+    return o;
+}
+
 // ---------------------------------------------------------------- //
 // Formatting / parsing helpers                                     //
 // ---------------------------------------------------------------- //

@@ -47,8 +47,15 @@ namespace mcd::sim
 class CheckpointSet;
 } // namespace mcd::sim
 
+namespace mcd::core
+{
+struct TrainingArtifact;
+} // namespace mcd::core
+
 namespace mcd::control
 {
+
+struct OfflineHistograms;
 
 /**
  * Result of one policy run on one benchmark.  Raw time/energy plus
@@ -79,6 +86,13 @@ struct Outcome
     double timeCiPs = 0.0;
     double energyCiNj = 0.0;
 };
+
+/**
+ * The Outcome fields every policy reads straight off its production
+ * run: time, chip energy, reconfigurations and the two sampled-mode
+ * confidence half-widths.  Policy-specific fields stay zero.
+ */
+Outcome outcomeFromRun(const sim::RunResult &r);
 
 /** Types a policy parameter can take. */
 enum class ParamType
@@ -217,6 +231,35 @@ struct PolicyContext
     std::function<std::shared_ptr<const sim::CheckpointSet>(
         const std::string &bench)>
         checkpoints;
+
+    /** Computes a value the harness may share between cells. */
+    template <class V>
+    using Compute = std::function<std::shared_ptr<const V>()>;
+
+    /**
+     * Compute-once sharing of the d-independent half of profile
+     * training (phases 1-2, core/pipeline.hh) per (bench, context
+     * mode): the hook returns the shared artifact, running
+     * @p compute only for the first request.  Everything else the
+     * artifact depends on (Sim/PowerConfig, analysis window,
+     * profiling cap) is fixed per context.  Unset, policies compute
+     * locally; they reach it through `trainingFor()`.
+     */
+    std::function<std::shared_ptr<const core::TrainingArtifact>(
+        const std::string &bench, core::ContextMode mode,
+        const Compute<core::TrainingArtifact> &compute)>
+        training;
+
+    /**
+     * The same for the off-line oracle's per-interval histograms of
+     * the production run (control/offline.hh), per bench at
+     * `productionWindow` and `offlineInterval`.  Reached through
+     * `oracleFor()`.
+     */
+    std::function<std::shared_ptr<const OfflineHistograms>(
+        const std::string &bench,
+        const Compute<OfflineHistograms> &compute)>
+        oracle;
 };
 
 /** Null-safe access to PolicyContext::checkpoints. */
@@ -224,6 +267,24 @@ inline std::shared_ptr<const sim::CheckpointSet>
 checkpointsFor(const PolicyContext &ctx, const std::string &bench)
 {
     return ctx.checkpoints ? ctx.checkpoints(bench) : nullptr;
+}
+
+/** PolicyContext::training when set, else @p compute(). */
+inline std::shared_ptr<const core::TrainingArtifact>
+trainingFor(const PolicyContext &ctx, const std::string &bench,
+            core::ContextMode mode,
+            const PolicyContext::Compute<core::TrainingArtifact> &compute)
+{
+    return ctx.training ? ctx.training(bench, mode, compute)
+                        : compute();
+}
+
+/** PolicyContext::oracle when set, else @p compute(). */
+inline std::shared_ptr<const OfflineHistograms>
+oracleFor(const PolicyContext &ctx, const std::string &bench,
+          const PolicyContext::Compute<OfflineHistograms> &compute)
+{
+    return ctx.oracle ? ctx.oracle(bench, compute) : compute();
 }
 
 /**

@@ -11,33 +11,24 @@ ProfilePipeline::ProfilePipeline(const workload::Program &p,
 {
 }
 
-void
-ProfilePipeline::train(const workload::InputSet &train_input,
-                       const sim::SimConfig &scfg,
-                       const power::PowerConfig &pcfg)
+std::shared_ptr<const TrainingArtifact>
+trainArtifact(const workload::Program &program,
+              const workload::InputSet &train_input,
+              const PipelineConfig &cfg, const sim::SimConfig &scfg,
+              const power::PowerConfig &pcfg)
 {
+    auto art = std::make_shared<TrainingArtifact>();
+    art->mode = cfg.mode;
+    art->steps = cfg.shaker.steps;
+
     // Phase 1: profiling run (functional), long-running selection.
-    tree_ = std::make_unique<CallTree>(
+    art->tree = std::make_shared<const CallTree>(
         profileProgram(program, train_input, cfg.mode, cfg.profile));
 
     // Phase 2: full-speed analysis simulation with event tracing.
-    ShakerConfig shaker_cfg = cfg.shaker;
-    shaker_cfg.domainPowerWeight = pcfg.domainWeight;
-    shaker_cfg.nominalMhz = scfg.maxMhz;
-    shaker_cfg.l1LatencyCycles = scfg.l1Latency;
-    shaker_cfg.l2LatencyCycles = scfg.l2Latency;
-    shaker_cfg.robSize = scfg.robSize;
-    shaker_cfg.lsqSize = scfg.lsqSize;
-    shaker_cfg.intIqSize = scfg.intIqSize;
-    shaker_cfg.fpIqSize = scfg.fpIqSize;
-    shaker_cfg.fetchWidth = scfg.fetchWidth;
-    shaker_cfg.retireWidth = scfg.retireWidth;
-    shaker_cfg.intIssueWidth = scfg.intIssueWidth;
-    shaker_cfg.fpIssueWidth = scfg.fpIssueWidth;
-    shaker_cfg.memIssueWidth = scfg.memIssueWidth;
-    shaker_cfg.mispredictPenalty = scfg.mispredictPenalty;
-    NodeTracker tracker(*tree_);
-    AnalysisCollector collector(shaker_cfg, cfg.limits);
+    NodeTracker tracker(*art->tree);
+    AnalysisCollector collector(shakerConfigFor(cfg.shaker, scfg, pcfg),
+                                cfg.limits);
     // The shaker needs the complete per-instruction event trace of
     // the analysis window; sampled probes would leave holes in it,
     // so the analysis run is always exact.
@@ -47,21 +38,39 @@ ProfilePipeline::train(const workload::InputSet &train_input,
     analysis.setMarkerHandler(&tracker);
     analysis.setTraceSink(&collector);
     analysis.run(cfg.analysisWindow);
-    nodeHists = collector.finish();
+    art->nodeHists = collector.finish();
+    return art;
+}
+
+void
+ProfilePipeline::train(const workload::InputSet &train_input,
+                       const sim::SimConfig &scfg,
+                       const power::PowerConfig &pcfg)
+{
+    train(trainArtifact(program, train_input, cfg, scfg, pcfg));
+}
+
+void
+ProfilePipeline::train(std::shared_ptr<const TrainingArtifact> artifact)
+{
+    if (!artifact || artifact->mode != cfg.mode)
+        fatal("ProfilePipeline::train(): the training artifact is "
+              "missing or was built for another context mode");
+    artifact_ = std::move(artifact);
 
     // Phase 3: slowdown thresholding.
     ThresholdConfig tcfg;
     tcfg.slowdownPct = cfg.slowdownPct;
-    tcfg.steps = shaker_cfg.steps;
+    tcfg.steps = artifact_->steps;
+    const CallTree &tree = *artifact_->tree;
     nodeFreqs.clear();
-    for (const auto &kv : nodeHists) {
-        if (kv.first != 0 && tree_->node(kv.first).longRunning)
+    for (const auto &kv : artifact_->nodeHists) {
+        if (kv.first != 0 && tree.node(kv.first).longRunning)
             nodeFreqs[kv.first] = chooseFrequencies(kv.second, tcfg);
     }
 
     // Phase 4: application editing.
-    plan_ = buildPlan(*tree_, nodeFreqs, cfg.mode);
-    trained = true;
+    plan_ = buildPlan(tree, nodeFreqs, cfg.mode);
 }
 
 sim::RunResult
@@ -72,13 +81,13 @@ ProfilePipeline::runProduction(
     std::uint64_t hook_interval,
     std::shared_ptr<const sim::CheckpointSet> checkpoints)
 {
-    if (!trained)
+    if (!artifact_)
         fatal("ProfilePipeline::runProduction() before train()");
     if (hook && hook_interval == 0)
         fatal("ProfilePipeline::runProduction(): an interval hook "
               "needs a positive hook_interval (0 would silently "
               "disable it)");
-    ProfileRuntime runtime(*tree_, plan_, cfg.costs);
+    ProfileRuntime runtime(*artifact_->tree, plan_, cfg.costs);
     sim::Processor proc(scfg, pcfg, program, input);
     proc.setMarkerHandler(&runtime);
     proc.setCheckpoints(std::move(checkpoints));

@@ -10,6 +10,11 @@
  *   3. slowdown-threshold the histograms into per-node frequencies;
  *   4. edit the application (instrumentation plan);
  *   then run the edited binary on a production input.
+ *
+ * Phases 1-2 depend on the program, its training input, the context
+ * mode and the machine, never on d: trainArtifact() runs them once
+ * into a shareable core::TrainingArtifact, and every threshold d
+ * then runs only phases 3-4 from it.
  */
 
 #ifndef MCD_CORE_PIPELINE_HH
@@ -43,6 +48,40 @@ struct PipelineConfig
 };
 
 /**
+ * The d-independent half of training (phases 1-2): the training call
+ * tree and each node's shaker histograms.  Immutable once built, so
+ * one artifact serves every threshold d, and every thread, training
+ * on the same program, training input, context mode and machine.
+ */
+struct TrainingArtifact
+{
+    /** Context mode it was trained for. */
+    ContextMode mode = ContextMode::LF;
+    std::shared_ptr<const CallTree> tree;
+    /** Shaker outputs per covering node id (0 = unknown path). */
+    std::map<std::uint32_t, NodeHistograms> nodeHists;
+    /** Frequency discretization of the histograms. */
+    FreqSteps steps;
+};
+
+/**
+ * Run phases 1-2 on the training input.  Reads cfg.mode,
+ * cfg.profile, cfg.shaker, cfg.limits and cfg.analysisWindow; never
+ * cfg.slowdownPct or cfg.costs.
+ *
+ * @param program workload
+ * @param train   training input set
+ * @param cfg     pipeline configuration
+ * @param scfg    simulator configuration for the analysis run
+ * @param pcfg    power model configuration
+ */
+std::shared_ptr<const TrainingArtifact>
+trainArtifact(const workload::Program &program,
+              const workload::InputSet &train,
+              const PipelineConfig &cfg, const sim::SimConfig &scfg,
+              const power::PowerConfig &pcfg);
+
+/**
  * Driver object owning the trained state (tree, frequencies, plan).
  */
 class ProfilePipeline
@@ -56,7 +95,7 @@ class ProfilePipeline
                     const PipelineConfig &cfg);
 
     /**
-     * Run phases 1-4 on the training input.
+     * Run phases 1-4 on the training input: train(trainArtifact(...)).
      *
      * @param train training input set
      * @param scfg  simulator configuration for the analysis run
@@ -65,6 +104,13 @@ class ProfilePipeline
     void train(const workload::InputSet &train,
                const sim::SimConfig &scfg,
                const power::PowerConfig &pcfg);
+
+    /**
+     * Run phases 3-4 (threshold at d, edit) on a prebuilt artifact,
+     * which must come from this program under this pipeline's
+     * context mode.
+     */
+    void train(std::shared_ptr<const TrainingArtifact> artifact);
 
     /**
      * Run the edited binary on a production input.
@@ -93,7 +139,7 @@ class ProfilePipeline
                       checkpoints = nullptr);
 
     /** The training call tree (valid after train()). */
-    const CallTree &tree() const { return *tree_; }
+    const CallTree &tree() const { return *artifact_->tree; }
     /** The instrumentation plan (valid after train()). */
     const InstrumentationPlan &plan() const { return plan_; }
     /** Chosen frequencies per long-running node. */
@@ -102,21 +148,13 @@ class ProfilePipeline
     {
         return nodeFreqs;
     }
-    /** Shaker outputs per node (for inspection/tests). */
-    const std::map<std::uint32_t, NodeHistograms> &
-    nodeHistograms() const
-    {
-        return nodeHists;
-    }
 
   private:
     const workload::Program &program;
     PipelineConfig cfg;
-    std::unique_ptr<CallTree> tree_;
-    std::map<std::uint32_t, NodeHistograms> nodeHists;
+    std::shared_ptr<const TrainingArtifact> artifact_;
     std::map<std::uint32_t, sim::FreqSet> nodeFreqs;
     InstrumentationPlan plan_;
-    bool trained = false;
 };
 
 } // namespace mcd::core

@@ -12,6 +12,28 @@ namespace mcd::core
 using sim::InstrTiming;
 using workload::InstrClass;
 
+ShakerConfig
+shakerConfigFor(const ShakerConfig &base, const sim::SimConfig &scfg,
+                const power::PowerConfig &pcfg)
+{
+    ShakerConfig sc = base;
+    sc.domainPowerWeight = pcfg.domainWeight;
+    sc.nominalMhz = scfg.maxMhz;
+    sc.l1LatencyCycles = scfg.l1Latency;
+    sc.l2LatencyCycles = scfg.l2Latency;
+    sc.robSize = scfg.robSize;
+    sc.lsqSize = scfg.lsqSize;
+    sc.intIqSize = scfg.intIqSize;
+    sc.fpIqSize = scfg.fpIqSize;
+    sc.fetchWidth = scfg.fetchWidth;
+    sc.retireWidth = scfg.retireWidth;
+    sc.intIssueWidth = scfg.intIssueWidth;
+    sc.fpIssueWidth = scfg.fpIssueWidth;
+    sc.memIssueWidth = scfg.memIssueWidth;
+    sc.mispredictPenalty = scfg.mispredictPenalty;
+    return sc;
+}
+
 namespace
 {
 

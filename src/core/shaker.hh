@@ -22,6 +22,8 @@
 #include <map>
 #include <vector>
 
+#include "power/power.hh"
+#include "sim/config.hh"
 #include "sim/trace.hh"
 #include "util/histogram.hh"
 #include "util/types.hh"
@@ -74,6 +76,18 @@ struct ShakerConfig
     std::array<double, NUM_SCALED_DOMAINS> domainPowerWeight =
         {0.30, 0.25, 0.15, 0.30};
 };
+
+/**
+ * @p base with every machine-derived field taken from the
+ * configurations the analysis run executes under: the nominal
+ * frequency, cache latencies, structure capacities, widths and
+ * mispredict penalty from @p scfg, the per-domain power weights from
+ * @p pcfg.  The algorithm knobs (passes, decay, stretch, steps) stay
+ * as in @p base.
+ */
+ShakerConfig shakerConfigFor(const ShakerConfig &base,
+                             const sim::SimConfig &scfg,
+                             const power::PowerConfig &pcfg);
 
 /** Accumulated per-node analysis output. */
 struct NodeHistograms

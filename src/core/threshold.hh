@@ -29,8 +29,9 @@ struct ThresholdConfig
      * Fraction of the d% budget granted to each domain.  The paper's
      * delay calculation is "by necessity approximate": slowdowns from
      * different domains compose, so granting each domain the full
-     * budget overshoots.  0.4 keeps measured degradation roughly in
-     * keeping with d across the suite.
+     * budget overshoots.  0.7 is hand-tuned to keep measured
+     * degradation roughly in keeping with d across most of the
+     * suite; adpcm and g721 still overshoot it.
      */
     double perDomainShare = 0.7;
     /**

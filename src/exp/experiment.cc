@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "chip/multi.hh"
+#include "control/offline.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 #include "util/pool.hh"
@@ -406,6 +407,22 @@ Runner::Runner(const ExpConfig &c)
         ctx.checkpoints = [this](const std::string &bench) {
             return checkpointSetFor(bench);
         };
+    // The d-independent halves of profile training and of the
+    // off-line oracle: one per (bench, mode) and one per bench,
+    // shared by every d of a sweep.  Policies see canonical bench
+    // specs, so equal workloads always meet under one key.
+    ctx.training =
+        [this](const std::string &bench, core::ContextMode mode,
+               const control::PolicyContext::Compute<
+                   core::TrainingArtifact> &compute) {
+            return trainMemo.get(
+                bench + '|' + control::compactModeName(mode), compute);
+        };
+    ctx.oracle = [this](const std::string &bench,
+                        const control::PolicyContext::Compute<
+                            control::OfflineHistograms> &compute) {
+        return oracleMemo.get(bench, compute);
+    };
     loadCache();
     if (!cfg.cacheFile.empty())
         writer = std::make_unique<CacheWriter>(cfg.cacheFile);
@@ -483,11 +500,8 @@ Runner::loadCache()
                      cfg.cacheFile.c_str(), lineno);
             continue;
         }
-        std::promise<Outcome> p;
-        p.set_value(o);
-        Shard &s = shardFor(key);
         // Last occurrence wins, as with the old std::map overwrite.
-        s.map[key] = p.get_future().share();
+        shardFor(key).put(key, o);
         ++nLoaded;
     }
     if (nRejected > MAX_LINE_WARNINGS)
@@ -516,31 +530,16 @@ Runner::canonicalBenchCached(const std::string &bench) const
 std::shared_ptr<const sim::CheckpointSet>
 Runner::checkpointSetFor(const std::string &canon_bench)
 {
-    std::promise<std::shared_ptr<const sim::CheckpointSet>> prom;
-    std::shared_future<std::shared_ptr<const sim::CheckpointSet>> fut;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> l(ckptM);
-        auto it = ckptMemo.find(canon_bench);
-        if (it != ckptMemo.end()) {
-            fut = it->second;
-        } else {
-            fut = prom.get_future().share();
-            ckptMemo.emplace(canon_bench, fut);
-            owner = true;
-        }
-    }
-    if (!owner)
-        return fut.get();
-    // The set's functional state points into the Program, so the set
-    // keeps the whole Benchmark alive through an aliasing pointer.
-    auto bm = std::make_shared<workload::Benchmark>(
-        workload::makeBenchmark(canon_bench));
-    std::shared_ptr<const workload::Program> prog(bm, &bm->program);
-    auto set = sim::CheckpointSet::build(prog, bm->ref, cfg.sim,
+    return ckptMemo.get(canon_bench, [&] {
+        // The set's functional state points into the Program, so
+        // the set keeps the whole Benchmark alive through an
+        // aliasing pointer.
+        auto bm = std::make_shared<workload::Benchmark>(
+            workload::makeBenchmark(canon_bench));
+        std::shared_ptr<const workload::Program> prog(bm, &bm->program);
+        return sim::CheckpointSet::build(prog, bm->ref, cfg.sim,
                                          cfg.productionWindow);
-    prom.set_value(set);
-    return set;
+    });
 }
 
 Runner::Shard &
@@ -564,42 +563,32 @@ Runner::memoize(const std::string &key,
                 const std::function<Outcome()> &compute,
                 bool *computed)
 {
-    Shard &s = shardFor(key);
-    std::promise<Outcome> prom;
-    std::shared_future<Outcome> fut;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> l(s.m);
-        auto it = s.map.find(key);
-        if (it != s.map.end()) {
-            fut = it->second;
-        } else {
-            fut = prom.get_future().share();
-            s.map.emplace(key, fut);
-            owner = true;
-        }
-    }
-    if (computed)
-        *computed = owner;
-    (owner ? nMisses : nHits).fetch_add(1, std::memory_order_relaxed);
-    if (!owner)
-        return fut.get();
-    try {
-        Outcome o = compute();
-        prom.set_value(o);
-        store(key, o);
-        return o;
-    } catch (...) {
-        // Unblock concurrent waiters with the exception, but drop
-        // the entry so a later request recomputes instead of
-        // rethrowing a stale failure forever.
-        prom.set_exception(std::current_exception());
-        {
-            std::lock_guard<std::mutex> l(s.m);
-            s.map.erase(key);
-        }
-        throw;
-    }
+    return shardFor(key).get(
+        key,
+        [&] {
+            Outcome o = compute();
+            store(key, o);
+            return o;
+        },
+        computed);
+}
+
+std::uint64_t
+Runner::memoHits() const
+{
+    std::uint64_t n = 0;
+    for (const Shard &s : shards)
+        n += s.hits();
+    return n;
+}
+
+std::uint64_t
+Runner::memoMisses() const
+{
+    std::uint64_t n = 0;
+    for (const Shard &s : shards)
+        n += s.misses();
+    return n;
 }
 
 Metrics
@@ -782,24 +771,18 @@ Runner::runChip(const ChipCell &cell, std::vector<bool> *row_hits)
         bool computed = false;
         out.push_back(memoize(keys[k], [&]() -> Outcome {
             const chip::ChipResult &r = chipResult();
+            // Tile rows mirror the tile policies' own single-core
+            // Outcome mapping, so an N=1 chip row prints
+            // byte-identically to the same policy's single-core
+            // resultLine — the CI equivalence gate diffs exactly
+            // that.
+            if (k < n)
+                return control::outcomeFromRun(r.tiles[k]);
             Outcome o;
-            if (k < n) {
-                // Mirror the tile policies' own single-core Outcome
-                // mapping (timePs/energyNj/reconfigs), so an N=1
-                // chip row prints byte-identically to the same
-                // policy's single-core resultLine — the CI
-                // equivalence gate diffs exactly that.
-                const sim::RunResult &t = r.tiles[k];
-                o.timePs = static_cast<double>(t.timePs);
-                o.energyNj = t.chipEnergyNj;
-                o.reconfigs = static_cast<double>(t.reconfigs);
-            } else {
-                o.timePs = static_cast<double>(r.timePs);
-                o.energyNj = r.uncoreEnergyNj;
-                o.reconfigs =
-                    static_cast<double>(r.uncoreReconfigs);
-                o.globalFreq = r.uncoreAvgMhz;
-            }
+            o.timePs = static_cast<double>(r.timePs);
+            o.energyNj = r.uncoreEnergyNj;
+            o.reconfigs = static_cast<double>(r.uncoreReconfigs);
+            o.globalFreq = r.uncoreAvgMhz;
             return o;
         }, &computed));
         if (row_hits)

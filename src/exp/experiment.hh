@@ -34,10 +34,8 @@
 #define MCD_EXP_EXPERIMENT_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -50,6 +48,7 @@
 #include "core/pipeline.hh"
 #include "power/power.hh"
 #include "sim/processor.hh"
+#include "util/memo.hh"
 #include "util/stats.hh"
 
 namespace mcd::exp
@@ -295,13 +294,26 @@ class Runner
      * cells policies evaluate internally (metrics baselines, the
      * offline run behind global DVS).
      */
-    std::uint64_t memoHits() const { return nHits.load(); }
+    std::uint64_t memoHits() const;
 
     /** Memoized requests that computed their cell (the memo owner).
      *  `memoMisses()` of a sweep equals its number of distinct
      *  simulated cells — the server's duplicate-suppression tests
      *  key off exactly this. */
-    std::uint64_t memoMisses() const { return nMisses.load(); }
+    std::uint64_t memoMisses() const;
+
+    /**
+     * Training artifacts (core::TrainingArtifact, phases 1-2 of the
+     * profile pipeline) this runner started to build, failed builds
+     * included: one per distinct (canonical bench, context mode),
+     * shared by every d and every profile-style policy of the sweep.
+     */
+    std::uint64_t trainingBuilds() const { return trainMemo.misses(); }
+
+    /** Off-line oracle analyses (control::OfflineHistograms) this
+     *  runner started to build, failed builds included: one per
+     *  distinct canonical bench, shared by every d. */
+    std::uint64_t oracleBuilds() const { return oracleMemo.misses(); }
 
     /**
      * The memo/CSV cache key of a canonical spec on this runner:
@@ -319,16 +331,9 @@ class Runner
   private:
     class CacheWriter;
 
-    /** One lock-sharded slice of the memo map.  Values are shared
-     *  futures so concurrent requests for one key compute it once:
-     *  the inserting thread computes, the others block on the
-     *  future. */
-    struct Shard
-    {
-        std::mutex m;
-        std::unordered_map<std::string, std::shared_future<Outcome>>
-            map;
-    };
+    /** One lock-sharded slice of the outcome memo: concurrent
+     *  requests for one key compute it once. */
+    using Shard = util::OnceMemo<Outcome>;
     static constexpr std::size_t NUM_SHARDS = 16;
 
     Shard &shardFor(const std::string &key);
@@ -346,8 +351,8 @@ class Runner
      * Sampled mode: the shared per-benchmark checkpoint set
      * (sim/checkpoint.hh), built once per distinct canonical bench
      * at the production window and reused by every cell of the
-     * sweep.  Concurrency-safe with the same future-based
-     * compute-once protocol as the outcome memo.
+     * sweep.  Concurrency-safe with the same compute-once protocol
+     * as the outcome memo.
      */
     std::shared_ptr<const sim::CheckpointSet>
     checkpointSetFor(const std::string &canon_bench);
@@ -383,16 +388,18 @@ class Runner
     mutable std::mutex canonBenchM;
     mutable std::unordered_map<std::string, std::string>
         canonBenchMemo;
-    std::mutex ckptM;
-    std::unordered_map<
-        std::string,
-        std::shared_future<std::shared_ptr<const sim::CheckpointSet>>>
-        ckptMemo;
+    // The side memos behind PolicyContext::checkpoints, ::training
+    // and ::oracle: in memory only, keyed by canonical bench (plus
+    // the context mode for training); every other input is fixed
+    // per Runner.
+    util::OnceMemo<std::shared_ptr<const sim::CheckpointSet>> ckptMemo;
+    util::OnceMemo<std::shared_ptr<const core::TrainingArtifact>>
+        trainMemo;
+    util::OnceMemo<std::shared_ptr<const control::OfflineHistograms>>
+        oracleMemo;
     std::unique_ptr<CacheWriter> writer;
     std::size_t nLoaded = 0;
     std::size_t nRejected = 0;
-    std::atomic<std::uint64_t> nHits{0};
-    std::atomic<std::uint64_t> nMisses{0};
 };
 
 } // namespace mcd::exp
