@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "workload/instr.hh"
 
@@ -37,28 +38,87 @@ shakerConfigFor(const ShakerConfig &base, const sim::SimConfig &scfg,
 namespace
 {
 
-/** One primitive event in the dependence DAG. */
-struct Event
+/**
+ * The primitive-event dependence DAG in flat storage: per-event
+ * fields in parallel arrays, edges in compressed rows.  Edges are
+ * appended to one list while the DAG is built; `finalize()` turns
+ * that list into successor and predecessor rows with one counting
+ * pass, so the edges of event i sit in [off[i], off[i+1]) in
+ * insertion order.
+ */
+struct EventDag
 {
-    Domain domain = Domain::FrontEnd;
-    double start = 0.0;     ///< current position (ps)
-    double nominalDur = 0;  ///< duration at nominal frequency (ps)
-    double stretch = 1.0;   ///< current stretch factor (>= 1)
-    double pf = 0.0;        ///< current power factor
-    double pf0 = 0.0;       ///< initial power factor
-    std::vector<std::uint32_t> succ;
-    std::vector<std::uint32_t> pred;
+    std::vector<Domain> domain;
+    std::vector<double> start;       ///< current position (ps)
+    std::vector<double> nominalDur;  ///< duration at nominal frequency (ps)
+    std::vector<double> stretch;     ///< current stretch factor (>= 1)
+    std::vector<double> pf;          ///< current power factor
+    std::vector<double> pf0;         ///< initial power factor
 
-    double dur() const { return nominalDur * stretch; }
-    double end() const { return start + dur(); }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    std::vector<std::uint32_t> succOff, succ;
+    std::vector<std::uint32_t> predOff, pred;
+
+    void reserve(std::size_t events)
+    {
+        domain.reserve(events);
+        start.reserve(events);
+        nominalDur.reserve(events);
+        stretch.reserve(events);
+        pf.reserve(events);
+        pf0.reserve(events);
+        edges.reserve(events * 2);
+    }
+
+    std::size_t size() const { return start.size(); }
+
+    std::uint32_t addEvent(Domain d, double s, double dur, double p)
+    {
+        auto i = static_cast<std::uint32_t>(start.size());
+        domain.push_back(d);
+        start.push_back(s);
+        nominalDur.push_back(dur);
+        stretch.push_back(1.0);
+        pf.push_back(p);
+        pf0.push_back(p);
+        return i;
+    }
+
+    void addEdge(std::uint32_t from, std::uint32_t to)
+    {
+        edges.emplace_back(from, to);
+    }
+
+    void finalize()
+    {
+        const std::size_t n = size();
+        succOff.assign(n + 1, 0);
+        predOff.assign(n + 1, 0);
+        for (const auto &[from, to] : edges) {
+            ++succOff[from + 1];
+            ++predOff[to + 1];
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            succOff[i + 1] += succOff[i];
+            predOff[i + 1] += predOff[i];
+        }
+        succ.resize(edges.size());
+        pred.resize(edges.size());
+        std::vector<std::uint32_t> sfill(succOff.begin(),
+                                         succOff.end() - 1);
+        std::vector<std::uint32_t> pfill(predOff.begin(),
+                                         predOff.end() - 1);
+        for (const auto &[from, to] : edges) {
+            succ[sfill[from]++] = to;
+            pred[pfill[to]++] = from;
+        }
+        edges.clear();
+        edges.shrink_to_fit();
+    }
+
+    double dur(std::size_t i) const { return nominalDur[i] * stretch[i]; }
+    double end(std::size_t i) const { return start[i] + dur(i); }
 };
-
-void
-addEdge(std::vector<Event> &ev, std::uint32_t from, std::uint32_t to)
-{
-    ev[from].succ.push_back(to);
-    ev[to].pred.push_back(from);
-}
 
 } // namespace
 
@@ -77,7 +137,7 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
     const double cycle_ps = 1e6 / cfg.nominalMhz;
 
     // ---- build the event DAG ----
-    std::vector<Event> ev;
+    EventDag ev;
     ev.reserve(segment.size() * 5);
     // Producer seq -> index of the event whose completion carries the
     // value (exec, or mem for loads).
@@ -90,7 +150,6 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
     // counts (ROB, issue queues).
     std::vector<std::uint32_t> fetch_events;
     std::vector<std::uint32_t> commit_events;
-    std::vector<std::uint32_t> mem_events;
     fetch_events.reserve(segment.size());
     commit_events.reserve(segment.size());
     std::array<std::vector<std::uint32_t>, NUM_SCALED_DOMAINS>
@@ -109,38 +168,19 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
     double pending_redirect_start = 0.0;
 
     for (const InstrTiming &t : segment) {
-        // fetch (front end)
-        std::uint32_t e_fetch = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = static_cast<double>(t.fetch);
-            e.nominalDur = cycle_ps;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-        }
-        // dispatch/rename (front end)
-        std::uint32_t e_disp = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = static_cast<double>(t.dispatch);
-            e.nominalDur = cycle_ps;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-        }
+        // fetch, dispatch/rename (front end)
+        std::uint32_t e_fetch =
+            ev.addEvent(Domain::FrontEnd, static_cast<double>(t.fetch),
+                        cycle_ps, weight(Domain::FrontEnd));
+        std::uint32_t e_disp = ev.addEvent(
+            Domain::FrontEnd, static_cast<double>(t.dispatch),
+            cycle_ps, weight(Domain::FrontEnd));
         // execute (owning domain)
-        std::uint32_t e_exec = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = t.domain;
-            e.start = static_cast<double>(t.issue);
-            double d = static_cast<double>(t.execDone) -
-                       static_cast<double>(t.issue);
-            e.nominalDur = std::max(d, cycle_ps * 0.5);
-            e.pf0 = e.pf = weight(t.domain);
-            ev.push_back(e);
-        }
+        double exec_dur = static_cast<double>(t.execDone) -
+                          static_cast<double>(t.issue);
+        std::uint32_t e_exec = ev.addEvent(
+            t.domain, static_cast<double>(t.issue),
+            std::max(exec_dur, cycle_ps * 0.5), weight(t.domain));
         // memory access (loads only); the fixed external-memory
         // latency of misses is carved out into an unscalable
         // External event so the shaker never treats DRAM time as
@@ -156,63 +196,46 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
                                        cfg.l2LatencyCycles);
                 scalable = std::min(scalable, total);
             }
-            e_mem = static_cast<std::uint32_t>(ev.size());
-            {
-                Event e;
-                e.domain = Domain::Memory;
-                e.start = static_cast<double>(t.memStart);
-                e.nominalDur = std::max(scalable, cycle_ps * 0.5);
-                e.pf0 = e.pf = weight(Domain::Memory);
-                ev.push_back(e);
-            }
+            e_mem = ev.addEvent(Domain::Memory,
+                                static_cast<double>(t.memStart),
+                                std::max(scalable, cycle_ps * 0.5),
+                                weight(Domain::Memory));
             if (t.l2Miss && total > scalable) {
-                e_ext = static_cast<std::uint32_t>(ev.size());
-                Event e;
-                e.domain = Domain::External;
-                e.start = static_cast<double>(t.memStart) + scalable;
-                e.nominalDur = total - scalable;
-                e.pf0 = e.pf = 0.0;  // never stretched
-                ev.push_back(e);
+                // pf 0: never stretched
+                e_ext = ev.addEvent(
+                    Domain::External,
+                    static_cast<double>(t.memStart) + scalable,
+                    total - scalable, 0.0);
             }
         }
         // commit (front end)
-        std::uint32_t e_commit = static_cast<std::uint32_t>(ev.size());
-        {
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = static_cast<double>(t.commit);
-            e.nominalDur = cycle_ps;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-        }
+        std::uint32_t e_commit = ev.addEvent(
+            Domain::FrontEnd, static_cast<double>(t.commit), cycle_ps,
+            weight(Domain::FrontEnd));
 
         // intra-instruction chain
-        addEdge(ev, e_fetch, e_disp);
-        addEdge(ev, e_disp, e_exec);
+        ev.addEdge(e_fetch, e_disp);
+        ev.addEdge(e_disp, e_exec);
         if (e_mem != UINT32_MAX) {
-            addEdge(ev, e_exec, e_mem);
+            ev.addEdge(e_exec, e_mem);
             if (e_ext != UINT32_MAX) {
-                addEdge(ev, e_mem, e_ext);
-                addEdge(ev, e_ext, e_commit);
+                ev.addEdge(e_mem, e_ext);
+                ev.addEdge(e_ext, e_commit);
             } else {
-                addEdge(ev, e_mem, e_commit);
+                ev.addEdge(e_mem, e_commit);
             }
         } else {
-            addEdge(ev, e_exec, e_commit);
+            ev.addEdge(e_exec, e_commit);
         }
 
         // mispredict redirect: branch exec -> refill -> this fetch
         if (pending_redirect_from != UINT32_MAX) {
-            std::uint32_t e_redir =
-                static_cast<std::uint32_t>(ev.size());
-            Event e;
-            e.domain = Domain::FrontEnd;
-            e.start = pending_redirect_start;
-            e.nominalDur = cycle_ps * cfg.mispredictPenalty;
-            e.pf0 = e.pf = weight(Domain::FrontEnd);
-            ev.push_back(e);
-            addEdge(ev, pending_redirect_from, e_redir);
-            addEdge(ev, e_redir, e_fetch);
+            std::uint32_t e_redir = ev.addEvent(
+                Domain::FrontEnd, pending_redirect_start,
+                cycle_ps * cfg.mispredictPenalty,
+                weight(Domain::FrontEnd));
+            ev.addEdge(pending_redirect_from, e_redir);
+            ev.addEdge(e_redir, e_fetch);
             pending_redirect_from = UINT32_MAX;
         }
 
@@ -221,14 +244,12 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         const std::size_t fetch_w =
             static_cast<std::size_t>(cfg.fetchWidth);
         if (fetch_events.size() > fetch_w) {
-            addEdge(ev,
-                    fetch_events[fetch_events.size() - 1 - fetch_w],
-                    e_fetch);
+            ev.addEdge(fetch_events[fetch_events.size() - 1 - fetch_w],
+                       e_fetch);
         }
         // NOTE: no chain over full mem-access events — cache ports
         // are pipelined (occupied only at initiation), which the
         // memory-domain exec (agen) chain below already models.
-        (void)mem_events;
 
         // data dependences (producers outside the segment are simply
         // "ready"; no edge)
@@ -237,7 +258,7 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
                 continue;
             auto it = value_event.find(dep);
             if (it != value_event.end())
-                addEdge(ev, it->second, e_exec);
+                ev.addEdge(it->second, e_exec);
         }
         value_event[t.seq] = e_ext != UINT32_MAX
                                  ? e_ext
@@ -252,9 +273,9 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         const std::size_t rob_sz =
             static_cast<std::size_t>(cfg.robSize);
         if (idx >= retire_w)
-            addEdge(ev, commit_events[idx - retire_w], e_commit);
+            ev.addEdge(commit_events[idx - retire_w], e_commit);
         if (idx >= rob_sz)
-            addEdge(ev, commit_events[idx - rob_sz], e_disp);
+            ev.addEdge(commit_events[idx - rob_sz], e_disp);
 
         // Per-domain issue bandwidth and queue occupancy.
         int dom = static_cast<int>(t.domain);
@@ -282,15 +303,16 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         const std::size_t issue_w = static_cast<std::size_t>(width);
         const std::size_t queue_cap = static_cast<std::size_t>(qcap);
         if (dex.size() > issue_w)
-            addEdge(ev, dex[dex.size() - 1 - issue_w], e_exec);
+            ev.addEdge(dex[dex.size() - 1 - issue_w], e_exec);
         if (qcap > 0 && dex.size() > queue_cap)
-            addEdge(ev, dex[dex.size() - 1 - queue_cap], ddp.back());
+            ev.addEdge(dex[dex.size() - 1 - queue_cap], ddp.back());
 
         if (t.mispredict) {
             pending_redirect_from = e_exec;
             pending_redirect_start = static_cast<double>(t.execDone);
         }
     }
+    ev.finalize();
 
     const double seg_start =
         static_cast<double>(segment.front().fetch);
@@ -298,44 +320,47 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
         static_cast<double>(segment.back().commit) + cycle_ps;
 
     // ---- the shaker ----
+    // Passes visit events in index order and update them in place,
+    // so later events in a pass see this pass's earlier moves.
     double max_pf = 0.0;
-    for (const Event &e : ev)
-        max_pf = std::max(max_pf, e.pf0);
+    for (double p : ev.pf0)
+        max_pf = std::max(max_pf, p);
     double threshold = max_pf * 0.95;
 
-    auto slack_out = [&](const Event &e) {
+    auto slack_out = [&](std::size_t i) {
         double limit = seg_end;
-        for (std::uint32_t s : e.succ)
-            limit = std::min(limit, ev[s].start);
-        return limit - e.end();
+        for (std::uint32_t k = ev.succOff[i]; k < ev.succOff[i + 1]; ++k)
+            limit = std::min(limit, ev.start[ev.succ[k]]);
+        return limit - ev.end(i);
     };
-    auto slack_in = [&](const Event &e) {
+    auto slack_in = [&](std::size_t i) {
         double limit = seg_start;
-        for (std::uint32_t p : e.pred)
-            limit = std::max(limit, ev[p].end());
-        return e.start - limit;
+        for (std::uint32_t k = ev.predOff[i]; k < ev.predOff[i + 1]; ++k)
+            limit = std::max(limit, ev.end(ev.pred[k]));
+        return ev.start[i] - limit;
     };
 
-    // Stretch event e into `avail` ps of slack, honoring the power
+    // Stretch event i into `avail` ps of slack, honoring the power
     // threshold and the max-stretch floor.  Returns slack consumed.
-    auto stretch_event = [&](Event &e, double avail) {
-        if (avail <= 0.0 || e.stretch >= cfg.maxStretch)
+    auto stretch_event = [&](std::size_t i, double avail) {
+        double &stretch = ev.stretch[i];
+        if (avail <= 0.0 || stretch >= cfg.maxStretch)
             return 0.0;
-        if (e.pf < threshold)
+        if (ev.pf[i] < threshold)
             return 0.0;
-        double want = (e.dur() + avail) / e.nominalDur;
+        double want = (ev.dur(i) + avail) / ev.nominalDur[i];
         // Power factor scales as 1/stretch^2; do not drop (far) below
         // the current threshold ("scales the event until ... its
         // power factor drops below the current threshold").
-        double pf_limit = std::sqrt(e.pf0 / threshold);
+        double pf_limit = std::sqrt(ev.pf0[i] / threshold);
         double s_new = std::min({want, cfg.maxStretch,
-                                 std::max(pf_limit, e.stretch)});
-        if (s_new <= e.stretch)
+                                 std::max(pf_limit, stretch)});
+        if (s_new <= stretch)
             return 0.0;
-        double before = e.dur();
-        e.stretch = s_new;
-        e.pf = e.pf0 / (e.stretch * e.stretch);
-        return e.dur() - before;
+        double before = ev.dur(i);
+        stretch = s_new;
+        ev.pf[i] = ev.pf0[i] / (stretch * stretch);
+        return ev.dur(i) - before;
     };
 
     for (int pass = 0; pass < cfg.maxPasses; ++pass) {
@@ -344,16 +369,15 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
 
         if (backward) {
             for (std::size_t i = ev.size(); i-- > 0;) {
-                Event &e = ev[i];
-                double sl = slack_out(e);
+                double sl = slack_out(i);
                 if (sl <= 1e-9)
                     continue;
-                double used = stretch_event(e, sl);
+                double used = stretch_event(i, sl);
                 double remaining = sl - used;
                 if (remaining > 1e-9) {
                     // Move the event later: slack migrates to the
                     // incoming edges.
-                    e.start += remaining;
+                    ev.start[i] += remaining;
                     changed = true;
                 }
                 if (used > 0.0)
@@ -361,21 +385,20 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
             }
         } else {
             for (std::size_t i = 0; i < ev.size(); ++i) {
-                Event &e = ev[i];
-                double sl = slack_in(e);
+                double sl = slack_in(i);
                 if (sl <= 1e-9)
                     continue;
-                double used = stretch_event(e, sl);
+                double used = stretch_event(i, sl);
                 // Stretching into incoming slack: keep the end fixed.
                 if (used > 0.0) {
-                    e.start -= used;
+                    ev.start[i] -= used;
                     changed = true;
                 }
                 double remaining = sl - used;
                 if (remaining > 1e-9) {
                     // Move the event earlier: slack migrates to the
                     // outgoing edges.
-                    e.start -= remaining;
+                    ev.start[i] -= remaining;
                     changed = true;
                 }
             }
@@ -387,12 +410,12 @@ SegmentAnalyzer::analyze(const std::vector<InstrTiming> &segment,
     }
 
     // ---- summarize into per-domain histograms ----
-    for (const Event &e : ev) {
-        if (e.domain == Domain::External)
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+        if (ev.domain[i] == Domain::External)
             continue;
-        Mhz f = cfg.steps.quantize(cfg.nominalMhz / e.stretch);
-        double cycles = e.nominalDur / cycle_ps;
-        out.hist[static_cast<int>(e.domain)].add(f, cycles);
+        Mhz f = cfg.steps.quantize(cfg.nominalMhz / ev.stretch[i]);
+        double cycles = ev.nominalDur[i] / cycle_ps;
+        out.hist[static_cast<int>(ev.domain[i])].add(f, cycles);
     }
     out.spanPs += static_cast<Tick>(seg_end - seg_start);
     out.instrs += segment.size();
@@ -411,26 +434,35 @@ AnalysisCollector::onInstr(const InstrTiming &t)
     if (t.node != curNode) {
         flush();
         curNode = t.node;
+        selectNode();
     }
+    if (!curHist)
+        return;  // node 0, or node already analyzed enough
+    segment.push_back(t);
+    if (segment.size() >= limits.maxSegmentInstrs) {
+        flush();
+        selectNode();
+    }
+}
+
+void
+AnalysisCollector::selectNode()
+{
+    curHist = nullptr;
     if (curNode == 0)
         return;
-    auto it = results.find(curNode);
-    if (it != results.end()) {
-        const NodeHistograms &h = it->second;
-        if (h.instrs >= limits.maxInstrsPerNode ||
-            h.segments >= limits.maxSegmentsPerNode)
-            return;  // node already analyzed enough
-    }
-    segment.push_back(t);
-    if (segment.size() >= limits.maxSegmentInstrs)
-        flush();
+    auto [it, fresh] = results.try_emplace(curNode);
+    const NodeHistograms &h = it->second;
+    if (fresh || (h.instrs < limits.maxInstrsPerNode &&
+                  h.segments < limits.maxSegmentsPerNode))
+        curHist = &it->second;
 }
 
 void
 AnalysisCollector::flush()
 {
-    if (curNode != 0 && !segment.empty())
-        analyzer.analyze(segment, results[curNode]);
+    if (curHist && !segment.empty())
+        analyzer.analyze(segment, *curHist);
     segment.clear();
 }
 
@@ -438,6 +470,7 @@ std::map<std::uint32_t, NodeHistograms>
 AnalysisCollector::finish()
 {
     flush();
+    curHist = nullptr;
     return std::move(results);
 }
 

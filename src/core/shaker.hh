@@ -146,6 +146,8 @@ class AnalysisCollector : public sim::TraceSink
     {
     }
     AnalysisCollector(const ShakerConfig &cfg, const Limits &limits);
+    AnalysisCollector(const AnalysisCollector &) = delete;
+    AnalysisCollector &operator=(const AnalysisCollector &) = delete;
 
     void onInstr(const sim::InstrTiming &t) override;
 
@@ -154,10 +156,14 @@ class AnalysisCollector : public sim::TraceSink
 
   private:
     void flush();
+    /** Point curHist at curNode's histograms, or at nothing when
+     *  curNode is 0 or has reached its caps. */
+    void selectNode();
 
     SegmentAnalyzer analyzer;
     Limits limits;
     std::uint32_t curNode = 0;
+    NodeHistograms *curHist = nullptr;  ///< into results
     std::vector<sim::InstrTiming> segment;
     std::map<std::uint32_t, NodeHistograms> results;
 };

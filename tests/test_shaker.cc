@@ -2,13 +2,18 @@
  * @file
  * Shaker tests: histogram invariants over real trace segments, the
  * quarter-frequency floor, external-memory exclusion, resource-edge
- * behaviour.
+ * behaviour, and a golden digest that pins the shaker's output bit
+ * for bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "control/offline.hh"
 #include "core/shaker.hh"
 #include "sim/processor.hh"
+#include "util/text.hh"
 #include "workload/suite.hh"
 
 using namespace mcd;
@@ -20,7 +25,7 @@ namespace
 {
 
 std::vector<InstrTiming>
-traceOf(const std::string &bench, std::uint64_t n)
+traceOf(const std::string &bench, std::uint64_t n, bool ref = false)
 {
     struct Collect : TraceSink
     {
@@ -33,11 +38,37 @@ traceOf(const std::string &bench, std::uint64_t n)
     Benchmark bm = makeBenchmark(bench);
     SimConfig scfg;
     power::PowerConfig pcfg;
-    Processor proc(scfg, pcfg, bm.program, bm.train);
+    Processor proc(scfg, pcfg, bm.program, ref ? bm.ref : bm.train);
     proc.setTraceSink(&sink);
     proc.run(n);
     return sink.items;
 }
+
+/** Appends the raw bytes of every field that pins a shaker result. */
+struct DigestBytes
+{
+    std::string bytes;
+
+    template <class T>
+    void add(const T &v)
+    {
+        char raw[sizeof(T)];
+        std::memcpy(raw, &v, sizeof(T));
+        bytes.append(raw, sizeof(T));
+    }
+
+    void add(const NodeHistograms &n)
+    {
+        for (const FreqHistogram &h : n.hist)
+            for (int b = 0; b < h.steps().numSteps(); ++b)
+                add(h.binCycles(b));
+        add(n.spanPs);
+        add(n.instrs);
+        add(n.segments);
+    }
+
+    std::uint64_t digest() const { return util::fnv1a64(bytes); }
+};
 
 } // namespace
 
@@ -167,4 +198,43 @@ TEST(AnalysisCollector, NodeZeroIgnored)
     for (const auto &t : trace)
         c.onInstr(t);
     EXPECT_TRUE(c.finish().empty());
+}
+
+// Any change to the DAG layout, the pass order or the floating-point
+// expressions of the shaker shows up here: the digests cover every
+// histogram bin's bits.  Re-pin only for a deliberate change of the
+// algorithm's output.
+TEST(ShakerGolden, SegmentHistogramsAreBitIdentical)
+{
+    // Integer, memory-bound and floating-point reference segments.
+    const std::pair<const char *, std::uint64_t> golden[] = {
+        {"adpcm_decode", 0xbc61c5bd2408ca87ull},
+        {"mcf", 0xb137e8cf626d8431ull},
+        {"swim", 0x4e2895b7ff35a033ull},
+    };
+    SegmentAnalyzer a;
+    for (const auto &[bench, want] : golden) {
+        NodeHistograms out;
+        a.analyze(traceOf(bench, 10'000, /*ref=*/true), out);
+        DigestBytes d;
+        d.add(out);
+        EXPECT_EQ(d.digest(), want)
+            << bench << " digest 0x" << std::hex << d.digest();
+    }
+}
+
+TEST(ShakerGolden, OfflineHistogramsAreBitIdentical)
+{
+    Benchmark bm = makeBenchmark("gsm_decode");
+    auto hists = control::offlineHistograms(
+        control::OfflineConfig(), bm.program, bm.ref, SimConfig(),
+        power::PowerConfig(), 20'000);
+    DigestBytes d;
+    for (const control::OfflineInterval &iv : hists->intervals) {
+        d.add(iv.startInstr);
+        d.add(iv.hist);
+    }
+    EXPECT_EQ(hists->intervals.size(), 2u);
+    EXPECT_EQ(d.digest(), 0xa38de2234ede9748ull)
+        << "digest 0x" << std::hex << d.digest();
 }
