@@ -3,35 +3,6 @@
 namespace mcd::power
 {
 
-Domain
-unitDomain(Unit u)
-{
-    switch (u) {
-      case Unit::Icache:
-      case Unit::Bpred:
-      case Unit::Rename:
-      case Unit::Rob:
-        return Domain::FrontEnd;
-      case Unit::IssueQueue:  // charged per owning queue via access site
-      case Unit::RegFileInt:
-      case Unit::IntAlu:
-      case Unit::IntMul:
-        return Domain::Integer;
-      case Unit::RegFileFp:
-      case Unit::FpAlu:
-      case Unit::FpMul:
-        return Domain::FloatingPoint;
-      case Unit::Lsq:
-      case Unit::Dcache:
-      case Unit::L2:
-        return Domain::Memory;
-      case Unit::Dram:
-        return Domain::External;
-      default:
-        return Domain::FrontEnd;
-    }
-}
-
 PowerConfig::PowerConfig()
 {
     // pJ per access at Vmax; relative magnitudes follow Wattch's
@@ -64,39 +35,6 @@ PowerModel::PowerModel(const PowerConfig &c)
 {
 }
 
-double
-PowerModel::scaleV2(Volt v) const
-{
-    double r = v / cfg.vMax;
-    return r * r;
-}
-
-void
-PowerModel::access(Unit u, Volt v, int n)
-{
-    accessTo(u, unitDomain(u), v, n);
-}
-
-void
-PowerModel::accessTo(Unit u, Domain d, Volt v, int n)
-{
-    double nj = cfg.unitPj[static_cast<int>(u)] * scaleV2(v) * n / 1000.0;
-    unitNj[static_cast<int>(u)] += nj;
-    if (d == Domain::External)
-        dramNj += nj;
-    else
-        domainNj[domainIndex(d)] += nj;
-}
-
-void
-PowerModel::clockCycle(Domain d, Volt v)
-{
-    if (d == Domain::External)
-        return;
-    domainNj[domainIndex(d)] +=
-        cfg.clockPj[domainIndex(d)] * scaleV2(v) / 1000.0;
-}
-
 void
 PowerModel::clockCycles(Domain d, Volt v, std::uint64_t n)
 {
@@ -105,17 +43,6 @@ PowerModel::clockCycles(Domain d, Volt v, std::uint64_t n)
     domainNj[domainIndex(d)] += cfg.clockPj[domainIndex(d)] *
                                 scaleV2(v) / 1000.0 *
                                 static_cast<double>(n);
-}
-
-void
-PowerModel::leakage(Domain d, Volt v, Tick dt_ps)
-{
-    if (d == Domain::External)
-        return;
-    // W * ps = 1e-12 J = 1e-3 nJ
-    domainNj[domainIndex(d)] +=
-        cfg.leakW[domainIndex(d)] * (v / cfg.vMax) *
-        static_cast<double>(dt_ps) * 1e-3;
 }
 
 void

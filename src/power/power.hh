@@ -46,7 +46,34 @@ enum class Unit : std::uint8_t
 constexpr int numUnits = static_cast<int>(Unit::NumUnits);
 
 /** The domain a unit's activity is charged to. */
-Domain unitDomain(Unit u);
+constexpr Domain
+unitDomain(Unit u)
+{
+    switch (u) {
+      case Unit::Icache:
+      case Unit::Bpred:
+      case Unit::Rename:
+      case Unit::Rob:
+        return Domain::FrontEnd;
+      case Unit::IssueQueue:  // charged per owning queue via access site
+      case Unit::RegFileInt:
+      case Unit::IntAlu:
+      case Unit::IntMul:
+        return Domain::Integer;
+      case Unit::RegFileFp:
+      case Unit::FpAlu:
+      case Unit::FpMul:
+        return Domain::FloatingPoint;
+      case Unit::Lsq:
+      case Unit::Dcache:
+      case Unit::L2:
+        return Domain::Memory;
+      case Unit::Dram:
+        return Domain::External;
+      default:
+        return Domain::FrontEnd;
+    }
+}
 
 /** Per-access / per-cycle energy constants (pJ at Vmax). */
 struct PowerConfig
@@ -75,17 +102,41 @@ class PowerModel
   public:
     explicit PowerModel(const PowerConfig &cfg);
 
+    // The per-access and per-edge charges below sit on the
+    // simulator's hot path, so they are defined here to inline.
+
     /** Charge @p n accesses of @p u at supply voltage @p v. */
-    void access(Unit u, Volt v, int n = 1);
+    void
+    access(Unit u, Volt v, int n = 1)
+    {
+        accessTo(u, unitDomain(u), v, n);
+    }
 
     /**
      * Charge accesses of @p u to an explicit domain @p d (used for
      * units that exist per domain, e.g. issue queues).
      */
-    void accessTo(Unit u, Domain d, Volt v, int n = 1);
+    void
+    accessTo(Unit u, Domain d, Volt v, int n = 1)
+    {
+        double nj =
+            cfg.unitPj[static_cast<int>(u)] * scaleV2(v) * n / 1000.0;
+        unitNj[static_cast<int>(u)] += nj;
+        if (d == Domain::External)
+            dramNj += nj;
+        else
+            domainNj[domainIndex(d)] += nj;
+    }
 
     /** Charge one clock cycle of domain @p d at voltage @p v. */
-    void clockCycle(Domain d, Volt v);
+    void
+    clockCycle(Domain d, Volt v)
+    {
+        if (d == Domain::External)
+            return;
+        domainNj[domainIndex(d)] +=
+            cfg.clockPj[domainIndex(d)] * scaleV2(v) / 1000.0;
+    }
 
     /**
      * Charge @p n clock cycles of domain @p d at the constant
@@ -98,7 +149,16 @@ class PowerModel
     void clockCycles(Domain d, Volt v, std::uint64_t n);
 
     /** Charge leakage of domain @p d over @p dt_ps at voltage @p v. */
-    void leakage(Domain d, Volt v, Tick dt_ps);
+    void
+    leakage(Domain d, Volt v, Tick dt_ps)
+    {
+        if (d == Domain::External)
+            return;
+        // W * ps = 1e-12 J = 1e-3 nJ
+        domainNj[domainIndex(d)] +=
+            cfg.leakW[domainIndex(d)] * (v / cfg.vMax) *
+            static_cast<double>(dt_ps) * 1e-3;
+    }
 
     /** Charge an arbitrary extra energy (instrumentation) to @p d. */
     void extra(Domain d, double pj);
@@ -121,7 +181,12 @@ class PowerModel
     const PowerConfig &config() const { return cfg; }
 
   private:
-    double scaleV2(Volt v) const;
+    double
+    scaleV2(Volt v) const
+    {
+        double r = v / cfg.vMax;
+        return r * r;
+    }
 
     PowerConfig cfg;
     std::array<double, numUnits> unitNj{};

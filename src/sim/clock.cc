@@ -1,6 +1,8 @@
 #include "sim/clock.hh"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 
 namespace mcd::sim
 {
@@ -16,18 +18,67 @@ SimConfig::voltageFor(Mhz f) const
     return minVolt + t * (maxVolt - minVolt);
 }
 
+namespace
+{
+
+/** One (seed, jitter) key's prefixes, one per scaled domain. */
+struct JitterKey
+{
+    std::uint64_t seed;
+    Tick jitterPs;
+    std::array<JitterPrefix, NUM_SCALED_DOMAINS> domains;
+};
+
+} // namespace
+
+const JitterPrefix *
+JitterPrefix::shared(const SimConfig &cfg, Domain d)
+{
+    // Function-local, so nothing is built before the first clock.
+    // Entries are immutable once published and never freed; the
+    // mutex orders a build before every later lookup of its key.
+    static std::mutex mu;
+    static std::vector<std::unique_ptr<const JitterKey>> keys;
+
+    std::lock_guard<std::mutex> lock(mu);
+    for (const auto &k : keys) {
+        if (k->seed == cfg.jitterSeed && k->jitterPs == cfg.jitterPs)
+            return &k->domains[domainIndex(d)];
+    }
+    if (keys.size() >= MAX_KEYS)
+        return nullptr;
+
+    // The same generators, in the same order, as Kernel's clocks.
+    auto key = std::make_unique<JitterKey>();
+    key->seed = cfg.jitterSeed;
+    key->jitterPs = cfg.jitterPs;
+    Rng seed_rng(cfg.jitterSeed);
+    for (JitterPrefix &p : key->domains) {
+        p.rest = seed_rng.fork();
+        p.draws.resize(DRAWS);
+        for (double &j : p.draws)
+            j = p.rest.clampedNormal(
+                0.0, static_cast<double>(cfg.jitterPs) / 3.0,
+                static_cast<double>(cfg.jitterPs));
+    }
+    keys.push_back(std::move(key));
+    return &keys.back()->domains[domainIndex(d)];
+}
+
 DomainClock::DomainClock(const SimConfig &c, Domain d, bool jitter,
-                         Rng r)
-    : cfg(c), domain(d), jitterOn(jitter), rng(r),
+                         Rng r, const JitterPrefix *prefix)
+    : cfg(c), domain(d), jitterOn(jitter), rng(prefix ? prefix->rest : r),
       curMhz(c.maxMhz), targetMhz(c.maxMhz),
-      volt(c.voltageFor(c.maxMhz)),
-      nominalNext(periodPs(c.maxMhz)), jitteredNext(nominalNext),
+      volt(c.voltageFor(c.maxMhz)), periodPs_(periodPs(c.maxMhz)),
+      nominalNext(periodPs_), jitteredNext(nominalNext),
       lastEdge(0), edgeCount(0), freqTimeIntegral(0.0), startTime(0)
 {
+    if (prefix) {
+        prefixNext = prefix->draws.data();
+        prefixEnd = prefixNext + prefix->draws.size();
+    }
     if (jitterOn) {
-        double j = rng.clampedNormal(
-            0.0, static_cast<double>(cfg.jitterPs) / 3.0,
-            static_cast<double>(cfg.jitterPs));
+        double j = drawJitter();
         jitteredNext = static_cast<Tick>(
             std::max<double>(1.0, static_cast<double>(nominalNext) + j));
     }
@@ -44,24 +95,22 @@ DomainClock::advance()
     // Ramp the effective frequency toward the target: 1 MHz per
     // rampNsPerMhz nanoseconds of elapsed time.
     if (curMhz != targetMhz) {
-        double elapsed_ns =
-            static_cast<double>(periodPs(curMhz)) / 1000.0;
+        double elapsed_ns = static_cast<double>(periodPs_) / 1000.0;
         double delta = elapsed_ns / cfg.rampNsPerMhz;
         if (curMhz < targetMhz)
             curMhz = std::min(targetMhz, curMhz + delta);
         else
             curMhz = std::max(targetMhz, curMhz - delta);
         volt = cfg.voltageFor(curMhz);
+        periodPs_ = periodPs(curMhz);
     }
 
     // The nominal grid advances jitter-free; jitter perturbs each
     // edge independently (no random-walk drift).
-    nominalNext += periodPs(curMhz);
+    nominalNext += periodPs_;
     jitteredNext = nominalNext;
     if (jitterOn) {
-        double j = rng.clampedNormal(
-            0.0, static_cast<double>(cfg.jitterPs) / 3.0,
-            static_cast<double>(cfg.jitterPs));
+        double j = drawJitter();
         double cand = static_cast<double>(nominalNext) + j;
         double floor_t = static_cast<double>(now) + 1.0;
         jitteredNext = static_cast<Tick>(std::max(cand, floor_t));
@@ -73,8 +122,10 @@ DomainClock::fastForwardTo(Tick t)
 {
     // Consuming each edge through advance() keeps the edge schedule
     // bit-identical to stepping by construction: one jitter draw per
-    // edge, the same arithmetic.  (A hand-specialized loop saves
-    // nothing measurable — the Box-Muller jitter draw dominates.)
+    // edge, the same arithmetic.  A hand-specialized loop would
+    // duplicate that arithmetic; with cached periods and the shared
+    // jitter prefix an edge is a few adds and a table read, so the
+    // batch saves little (docs/ARCHITECTURE.md, "Kernel hot path").
     std::uint64_t n = 0;
     while (jitteredNext < t) {
         advance();
@@ -104,19 +155,9 @@ DomainClock::jumpTo(Mhz f)
     targetMhz = std::clamp(f, cfg.minMhz, cfg.maxMhz);
     curMhz = targetMhz;
     volt = cfg.voltageFor(curMhz);
-    nominalNext = lastEdge + periodPs(curMhz);
+    periodPs_ = periodPs(curMhz);
+    nominalNext = lastEdge + periodPs_;
     jitteredNext = nominalNext;
-}
-
-Tick
-syncMarginPs(const SimConfig &cfg, Domain src, Domain dst,
-             Tick src_period, Tick dst_period)
-{
-    if (cfg.singleClock || src == dst)
-        return 0;
-    Tick faster = std::min(src_period, dst_period);
-    return static_cast<Tick>(cfg.syncWindowFrac *
-                             static_cast<double>(faster));
 }
 
 } // namespace mcd::sim

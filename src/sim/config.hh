@@ -83,7 +83,8 @@ struct SimConfig
     /**
      * Single-clock mode: all domains share aligned edges and no
      * synchronization penalties apply (used for the MCD-penalty
-     * experiment and the global-DVS baseline).
+     * experiment; the global-DVS baseline keeps the MCD substrate
+     * with all domains at one frequency, see control/globaldvs.hh).
      */
     bool singleClock = false;
 

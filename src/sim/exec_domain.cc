@@ -1,6 +1,7 @@
 #include "sim/exec_domain.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "sim/processor.hh"
 #include "util/logging.hh"
@@ -17,16 +18,69 @@ ExecDomain::tick(Tick now)
     p.occSum[domainIndex(dom)] += static_cast<double>(queue.size());
     ++p.occSamples[domainIndex(dom)];
 
+    // Every synchronization margin into this domain is fixed for the
+    // whole edge, so compute the five once.
+    const SyncMargins margin = p.syncMarginsTo(dom);
+    const Tick dispatch_margin = margin[domainIndex(Domain::FrontEnd)];
+    const std::uint64_t cur_edge = p.clock(dom).edges();
+    if (waitValid && stillWaiting(now, cur_edge, margin))
+        return;
+
+    IssueWait w;
     int issued = 0;
     for (auto it = queue.begin();
          it != queue.end() && issued < width;) {
-        if (tryIssue(now, *it)) {
+        Uop *u = p.findUop(*it);
+        if (!u)
+            panic("IQ entry %llu missing from ROB",
+                  static_cast<unsigned long long>(*it));
+        // Dispatch-to-issue-queue synchronization (front end ->
+        // domain).  The queue is in dispatch order, so every younger
+        // entry is still inside the synchronizer too; a failed
+        // tryIssue() has no side effects, so stopping here issues
+        // exactly what scanning on would.
+        if (now < u->dispatchTime + dispatch_margin) {
+            w.atTime(u->dispatchTime + dispatch_margin);
+            break;
+        }
+        if (tryIssue(now, *u, margin, w)) {
             it = queue.erase(it);
             ++issued;
         } else {
             ++it;
         }
     }
+
+    waitValid = issued == 0 && !w.opaque;
+    if (waitValid) {
+        wait = w;
+        waitMargin = margin;
+        waitQueueSize = queue.size();
+        waitIssues = p.issuedCount;
+    }
+}
+
+bool
+ExecDomain::stillWaiting(Tick now, std::uint64_t cur_edge,
+                         const SyncMargins &margin) const
+{
+    // Only this domain's own scan issues from its queue or frees its
+    // functional units, and it issued nothing since the record; a
+    // dispatch is the only other way the queue changes, and it only
+    // appends.
+    if (now >= wait.time || cur_edge >= wait.edge ||
+        p.iq[domainIndex(dom)].size() != waitQueueSize ||
+        margin != waitMargin)
+        return false;
+    if (wait.oldestProducer != ~0ULL &&
+        p.rob.front().seq > wait.oldestProducer)
+        return false;
+    for (Domain d : scaledDomains()) {
+        if (((wait.domains >> domainIndex(d)) & 1u) &&
+            p.issuedCount[domainIndex(d)] != waitIssues[domainIndex(d)])
+            return false;
+    }
+    return true;
 }
 
 Tick
@@ -44,19 +98,11 @@ ExecDomain::skipped(std::uint64_t n)
 }
 
 bool
-ExecDomain::tryIssue(Tick now, std::uint64_t seq)
+ExecDomain::tryIssue(Tick now, Uop &u, const SyncMargins &margin,
+                     IssueWait &wait)
 {
-    Processor::Uop *up = p.findUop(seq);
-    if (!up)
-        panic("IQ entry %llu missing from ROB",
-              static_cast<unsigned long long>(seq));
-    Processor::Uop &u = *up;
-
-    // Dispatch-to-issue-queue synchronization (front end -> domain).
-    if (now < u.dispatchTime + p.syncMargin(Domain::FrontEnd, dom))
-        return false;
-    if (!p.operandReady(u.depSeq1, dom, now) ||
-        !p.operandReady(u.depSeq2, dom, now))
+    if (!p.operandReady(u.depSeq1, dom, now, margin, wait) ||
+        !p.operandReady(u.depSeq2, dom, now, margin, wait))
         return false;
 
     // Loads: memory ordering against older in-flight stores to the
@@ -65,17 +111,21 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
     bool forwarded = false;
     Tick forward_ready = 0;
     if (u.isLoad) {
-        for (auto it = p.storeSeqs.rbegin(); it != p.storeSeqs.rend();
-             ++it) {
-            if (*it >= u.seq)
-                continue;
+        // storeSeqs is sorted: walk back from the youngest older store.
+        auto younger = std::lower_bound(p.storeSeqs.begin(),
+                                        p.storeSeqs.end(), u.seq);
+        for (auto it = std::make_reverse_iterator(younger);
+             it != p.storeSeqs.rend(); ++it) {
             const Processor::Uop *s = p.findUop(*it);
             if (!s)
                 break;  // older stores retired: no conflict possible
             if (s->di.addr != u.di.addr)
                 continue;
-            if (!s->completed)
-                return false;  // data not ready yet
+            if (!s->completed) {
+                // Data not ready yet; the store issues in this domain.
+                wait.domains |= 1u << domainIndex(s->domain);
+                return false;
+            }
             forwarded = true;
             forward_ready = s->execDone;
             break;
@@ -86,6 +136,12 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
     // jitter).
     Tick period = p.clock(dom).period();
     std::uint64_t cur_edge = p.clock(dom).edges();
+    // A unit frees at its busy edge; only this domain's issues move
+    // those edges.
+    auto wait_for_unit = [&](const std::vector<Tick> &units) {
+        if (!units.empty())
+            wait.atEdge(*std::min_element(units.begin(), units.end()));
+    };
     auto take_pipelined = [&](std::vector<Tick> &units) -> bool {
         for (auto &busy : units) {
             if (busy <= cur_edge) {
@@ -93,6 +149,7 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
                 return true;
             }
         }
+        wait_for_unit(units);
         return false;
     };
     auto take_blocking = [&](std::vector<Tick> &units,
@@ -103,6 +160,7 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
                 return true;
             }
         }
+        wait_for_unit(units);
         return false;
     };
 
@@ -170,6 +228,7 @@ ExecDomain::tryIssue(Tick now, std::uint64_t seq)
         p.power_.accessTo(rf, dom, v, n_src);
     }
 
+    ++p.issuedCount[domainIndex(dom)];
     u.issueTime = now;
     u.issued = true;
     u.inIq = false;

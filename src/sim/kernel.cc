@@ -8,11 +8,15 @@ namespace mcd::sim
 Kernel::Kernel(const SimConfig &c, power::PowerModel &p)
     : cfg(c), power(p), ff(c.fastForward)
 {
+    // Each clock reads the process-wide prefix of its jitter stream
+    // when one is held for this key; without one it draws the same
+    // stream live from its forked generator.
     Rng seed_rng(cfg.jitterSeed);
     bool jitter = !cfg.singleClock;
     for (Domain d : scaledDomains()) {
         clocks[domainIndex(d)] = std::make_unique<DomainClock>(
-            cfg, d, jitter, seed_rng.fork());
+            cfg, d, jitter, seed_rng.fork(),
+            jitter ? JitterPrefix::shared(cfg, d) : nullptr);
     }
 }
 

@@ -36,6 +36,7 @@
 #include "sim/exec_domain.hh"
 #include "sim/frontend.hh"
 #include "sim/kernel.hh"
+#include "sim/ring.hh"
 #include "sim/trace.hh"
 #include "workload/program.hh"
 #include "workload/stream.hh"
@@ -70,6 +71,35 @@ class SharedMemSide
      * data-return time.
      */
     virtual Tick dramAccess(int tile, Tick t) = 0;
+};
+
+/** In-flight instruction state (one ROB entry). */
+struct Uop
+{
+    workload::DynInstr di;
+    std::uint64_t seq = 0;
+    std::uint32_t node = 0;
+    Domain domain = Domain::Integer;
+    bool inIq = false;
+    bool issued = false;
+    bool completed = false;   ///< result available (execDone set)
+    bool isLoad = false;
+    bool isStore = false;
+    bool l1Miss = false;
+    bool l2Miss = false;
+    bool mispredicted = false;
+    std::uint64_t depSeq1 = 0;
+    std::uint64_t depSeq2 = 0;
+    /** Edge count in the exec domain at which the result is
+     *  available; used for exact same-domain back-to-back timing
+     *  (jittered edge times make period arithmetic inexact). */
+    std::uint64_t execDoneEdge = 0;
+    Tick fetchTime = 0;
+    Tick dispatchTime = 0;
+    Tick issueTime = 0;
+    Tick execDone = 0;   ///< FU done (loads: address generation)
+    Tick memStart = 0;
+    Tick memDone = 0;    ///< loads: data return time
 };
 
 /**
@@ -201,34 +231,7 @@ class Processor : public DvfsControl
      *  costs are captured statistically by the probes. */
     void deliverSkipMarker(const workload::Marker &m);
 
-    /** In-flight instruction state. */
-    struct Uop
-    {
-        workload::DynInstr di;
-        std::uint64_t seq = 0;
-        std::uint32_t node = 0;
-        Domain domain = Domain::Integer;
-        bool inIq = false;
-        bool issued = false;
-        bool completed = false;   ///< result available (execDone set)
-        bool isLoad = false;
-        bool isStore = false;
-        bool l1Miss = false;
-        bool l2Miss = false;
-        bool mispredicted = false;
-        std::uint64_t depSeq1 = 0;
-        std::uint64_t depSeq2 = 0;
-        /** Edge count in the exec domain at which the result is
-         *  available; used for exact same-domain back-to-back timing
-         *  (jittered edge times make period arithmetic inexact). */
-        std::uint64_t execDoneEdge = 0;
-        Tick fetchTime = 0;
-        Tick dispatchTime = 0;
-        Tick issueTime = 0;
-        Tick execDone = 0;   ///< FU done (loads: address generation)
-        Tick memStart = 0;
-        Tick memDone = 0;    ///< loads: data return time
-    };
+    using Uop = sim::Uop;
 
     struct FetchEntry
     {
@@ -245,12 +248,101 @@ class Processor : public DvfsControl
     };
 
     // --- shared helpers used by the domain components ---
-    Uop *findUop(std::uint64_t seq);
-    const Uop *findUop(std::uint64_t seq) const;
-    /** Operand readiness: ready time as seen from domain @p d. */
-    bool operandReady(std::uint64_t producer_seq, Domain d,
-                      Tick now) const;
-    Tick syncMargin(Domain src, Domain dst) const;
+    //
+    // These run several times per issue-queue entry per edge, so
+    // they are defined here to inline.
+
+    /** The in-flight uop @p seq, or null if it is not in the ROB.
+     *  ROB entries hold consecutive sequence numbers. */
+    Uop *
+    findUop(std::uint64_t seq)
+    {
+        if (rob.empty())
+            return nullptr;
+        std::uint64_t front = rob.front().seq;
+        if (seq < front || seq >= front + rob.size())
+            return nullptr;
+        return &rob[seq - front];
+    }
+
+    const Uop *
+    findUop(std::uint64_t seq) const
+    {
+        return const_cast<Processor *>(this)->findUop(seq);
+    }
+
+    Tick
+    syncMargin(Domain src, Domain dst) const
+    {
+        if (cfg.singleClock || src == dst)
+            return 0;
+        // External memory runs at the (fixed) maximum frequency.
+        Tick sp = src == Domain::External ? extPeriodPs
+                                          : clock(src).period();
+        Tick dp = dst == Domain::External ? extPeriodPs
+                                          : clock(dst).period();
+        return syncMarginPs(cfg, src, dst, sp, dp);
+    }
+
+    /** syncMargin(src, @p dst) for every source domain.  Fixed
+     *  between clock edges: periods change only as clocks advance. */
+    SyncMargins
+    syncMarginsTo(Domain dst) const
+    {
+        SyncMargins m{};
+        for (Domain src : scaledDomains())
+            m[domainIndex(src)] = syncMargin(src, dst);
+        m[domainIndex(Domain::External)] =
+            syncMargin(Domain::External, dst);
+        return m;
+    }
+
+    /**
+     * Operand readiness: ready time as seen from domain @p d, whose
+     * margins from every source domain are @p margin_to_d
+     * (syncMarginsTo(d), computed once per edge by the caller).  A
+     * not-ready operand records what it waits on in @p wait.
+     */
+    bool
+    operandReady(std::uint64_t producer_seq, Domain d, Tick now,
+                 const SyncMargins &margin_to_d, IssueWait &wait) const
+    {
+        if (producer_seq == 0)
+            return true;
+        if (const Uop *p = findUop(producer_seq)) {
+            if (!p->completed) {
+                wait.domains |= 1u << domainIndex(p->domain);
+                return false;
+            }
+            // Same-domain, non-memory producers: compare edge counts
+            // so that back-to-back dependent issue is exact under
+            // jitter.
+            if (p->domain == d && !p->isLoad) {
+                if (clock(d).edges() >= p->execDoneEdge)
+                    return true;
+                wait.atEdge(p->execDoneEdge);
+            } else {
+                Tick t = p->isLoad ? p->memDone : p->execDone;
+                Tick ready = t + margin_to_d[domainIndex(p->domain)];
+                if (now >= ready)
+                    return true;
+                wait.atTime(ready);
+            }
+            wait.oldestProducer =
+                std::min(wait.oldestProducer, producer_seq);
+            return false;
+        }
+        // Producer has retired; the value ring remembers recent ones.
+        const ValueEntry &e = valueRing[producer_seq % VALUE_RING];
+        if (e.seq == producer_seq) {
+            if (now >= e.ready)
+                return true;
+            wait.opaque = true;
+            return false;
+        }
+        return true;  // retired long ago
+    }
+
     /** L2 lookup start: shared-port grant under a chip, else @p t. */
     Tick
     l2PortGrant(Tick t)
@@ -274,6 +366,7 @@ class Processor : public DvfsControl
 
     // --- configuration ---
     SimConfig cfg;
+    Tick extPeriodPs;  ///< external memory's period (always maxMhz)
     const workload::Program &program;
     workload::InputSet input;
 
@@ -301,9 +394,12 @@ class Processor : public DvfsControl
     std::shared_ptr<const CheckpointSet> checkpoints_;
 
     // --- pipeline state ---
-    std::deque<Uop> rob;
-    std::deque<FetchEntry> fetchQueue;
+    Ring<Uop> rob;
+    Ring<FetchEntry> fetchQueue;
     std::array<std::vector<std::uint64_t>, NUM_SCALED_DOMAINS> iq;
+    /** Instructions issued so far, per domain (ExecDomain scan
+     *  skipping watches its awaited producers' domains). */
+    std::array<std::uint64_t, NUM_SCALED_DOMAINS> issuedCount{};
     std::array<ValueEntry, VALUE_RING> valueRing{};
     std::vector<std::uint64_t> producerRing;  ///< recent producer seqs
     std::size_t producerHead = 0;

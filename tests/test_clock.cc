@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+
 #include "sim/clock.hh"
 
 using namespace mcd;
@@ -219,6 +221,51 @@ TEST(DomainClock, FastForwardMatchesStepwiseAdvance)
         jumped.advance();
         EXPECT_EQ(jumped.nextEdge(), stepped.nextEdge());
     }
+}
+
+TEST(JitterPrefix, SharedPrefixMatchesLiveStream)
+{
+    // A clock reading the shared prefix must see exactly the edges a
+    // clock drawing from its own forked generator sees, across the
+    // prefix-to-live handover and through a ramp.  The forks follow
+    // the kernel's order: one per scaled domain from the seed.
+    SimConfig c = cfg();
+    c.jitterSeed = 4242;
+    Rng seed_rng(c.jitterSeed);
+    for (Domain d : scaledDomains()) {
+        Rng fork = seed_rng.fork();
+        const JitterPrefix *prefix = JitterPrefix::shared(c, d);
+        ASSERT_NE(prefix, nullptr);
+        EXPECT_EQ(prefix->draws.size(), JitterPrefix::DRAWS);
+        EXPECT_EQ(JitterPrefix::shared(c, d), prefix);  // built once
+        DomainClock live(c, d, true, fork);
+        DomainClock shared(c, d, true, Rng(1), prefix);
+        for (std::size_t i = 0; i < JitterPrefix::DRAWS + 1000; ++i) {
+            if (i == JitterPrefix::DRAWS - 10) {
+                live.setTarget(600.0);
+                shared.setTarget(600.0);
+            }
+            ASSERT_EQ(live.nextEdge(), shared.nextEdge()) << "edge " << i;
+            live.advance();
+            shared.advance();
+        }
+        EXPECT_EQ(live.period(), shared.period());
+        EXPECT_DOUBLE_EQ(live.averageFreq(), shared.averageFreq());
+    }
+}
+
+TEST(JitterPrefix, KeysPastTheCapDrawLive)
+{
+    // Every key costs four prefixes, so only MAX_KEYS keys are kept
+    // per process; any further key gets no prefix.
+    SimConfig c = cfg();
+    bool capped = false;
+    for (std::uint64_t k = 0; k <= JitterPrefix::MAX_KEYS; ++k) {
+        c.jitterSeed = 90'000 + k;
+        if (!JitterPrefix::shared(c, Domain::FrontEnd))
+            capped = true;
+    }
+    EXPECT_TRUE(capped);
 }
 
 /** Ramp property over a sweep of targets: always converges. */

@@ -3,15 +3,25 @@
  * Tests for the event-driven simulation kernel: idle-edge
  * fast-forward equivalence against the slow path (the determinism
  * argument of docs/ARCHITECTURE.md), interval-statistic bit-identity,
- * marker/stall interaction, and the watchdog no-progress panic that
- * the kernel extraction must not drop.
+ * marker/stall interaction, the watchdog no-progress panic that
+ * the kernel extraction must not drop, and a golden digest that pins
+ * every RunResult bit of a set of reference runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "chip/chip.hh"
+#include "control/offline.hh"
+#include "sim/checkpoint.hh"
 #include "sim/processor.hh"
+#include "util/text.hh"
 #include "workload/suite.hh"
 
 using namespace mcd;
@@ -323,3 +333,162 @@ TEST_P(KernelDeathTest, WatchdogPanicsWithoutCommitProgress)
 
 INSTANTIATE_TEST_SUITE_P(Modes, KernelDeathTest,
                          ::testing::Values(false, true));
+
+namespace
+{
+
+/** Appends the raw bytes of every field a RunResult reports. */
+struct ResultBytes
+{
+    std::string bytes;
+
+    template <class T>
+    void add(const T &v)
+    {
+        char raw[sizeof(T)];
+        std::memcpy(raw, &v, sizeof(T));
+        bytes.append(raw, sizeof(T));
+    }
+
+    void add(const RunResult &r)
+    {
+        add(r.timePs);
+        add(r.chipEnergyNj);
+        add(r.dramEnergyNj);
+        add(r.instrs);
+        add(r.feCycles);
+        add(r.ipc);
+        add(r.branches);
+        add(r.mispredicts);
+        add(r.l1dAccesses);
+        add(r.l1dMisses);
+        add(r.l2Misses);
+        add(r.icacheMisses);
+        add(r.dramAccesses);
+        add(r.reconfigs);
+        add(r.overheadCycles);
+        add(r.ffEdges);
+        add(r.sampled);
+        add(r.sampleIntervals);
+        add(r.skippedInstrs);
+        add(r.timeCiPs);
+        add(r.energyCiNj);
+        for (Mhz f : r.avgFreq)
+            add(f);
+        for (double e : r.domainEnergyNj)
+            add(e);
+    }
+
+    std::uint64_t digest() const { return util::fnv1a64(bytes); }
+};
+
+std::uint64_t
+digestOf(const RunResult &r)
+{
+    ResultBytes b;
+    b.add(r);
+    return b.digest();
+}
+
+} // namespace
+
+// Any change to the kernel's edge schedule, jitter stream, issue
+// logic or energy arithmetic shows up here: the digests cover every
+// RunResult field's bits.  The runs cover the jitter stream past its
+// first 65,536 draws (mcf), frequency ramps (an oracle schedule),
+// instant initial frequencies (the global-DVS jumpTo path), the slow
+// path, sampled runs replaying checkpoints and a two-tile chip (per
+// tile jitter seeds).  Re-pin only for a deliberate change of the
+// simulator's output.
+TEST(KernelGolden, RunResultsAreBitIdentical)
+{
+    const std::uint64_t window = 40'000;
+    power::PowerConfig pcfg;
+    std::vector<std::pair<std::string, std::uint64_t>> got;
+
+    for (const char *bench : {"mcf", "adpcm_decode", "swim"}) {
+        Benchmark bm = makeBenchmark(bench);
+        Processor proc(SimConfig(), pcfg, bm.program, bm.ref);
+        got.emplace_back(bench, digestOf(proc.run(window)));
+        if (std::string(bench) == "mcf") {
+            for (Domain d : scaledDomains())
+                EXPECT_GT(proc.domainEdges(d), 65'536u);
+        }
+    }
+
+    {
+        Benchmark bm = makeBenchmark("gsm_decode");
+        control::OfflineConfig ocfg;
+        ocfg.slowdownPct = 10.0;
+        auto hists = control::offlineHistograms(
+            ocfg, bm.program, bm.ref, SimConfig(), pcfg, 20'000);
+        Processor proc(SimConfig(), pcfg, bm.program, bm.ref);
+        proc.setSchedule(control::offlineSchedule(ocfg, *hists));
+        RunResult r = proc.run(20'000);
+        EXPECT_GT(r.reconfigs, 0u);
+        got.emplace_back("gsm_decode offline d=10", digestOf(r));
+    }
+
+    {
+        Benchmark bm = makeBenchmark("gsm_decode");
+        Processor proc(SimConfig(), pcfg, bm.program, bm.ref);
+        proc.setInitialFreqs({700.0, 700.0, 700.0, 700.0});
+        got.emplace_back("gsm_decode 700 MHz",
+                         digestOf(proc.run(20'000)));
+    }
+
+    {
+        Benchmark bm = makeBenchmark("swim");
+        SimConfig cfg;
+        cfg.fastForward = false;
+        Processor proc(cfg, pcfg, bm.program, bm.ref);
+        got.emplace_back("swim slow path", digestOf(proc.run(20'000)));
+    }
+
+    {
+        auto bm = std::make_shared<Benchmark>(makeBenchmark("gsm_decode"));
+        std::shared_ptr<const Program> prog(bm, &bm->program);
+        SimConfig cfg;
+        cfg.sampling.mode = SamplingMode::Sampled;
+        cfg.sampling.intervalInstrs = 4'000;
+        cfg.sampling.sampleInstrs = 600;
+        cfg.sampling.warmupInstrs = 200;
+        auto cps = CheckpointSet::build(prog, bm->ref, cfg, 24'000);
+        ASSERT_TRUE(cps);
+        Processor proc(cfg, pcfg, bm->program, bm->ref);
+        proc.setCheckpoints(cps);
+        RunResult r = proc.run(24'000);
+        EXPECT_TRUE(r.sampled);
+        got.emplace_back("gsm_decode sampled", digestOf(r));
+    }
+
+    {
+        chip::Chip c(chip::ChipConfig{}, SimConfig(), pcfg,
+                     {"gsm_decode", "mcf"});
+        chip::ChipResult cr = c.run(15'000);
+        ResultBytes b;
+        for (const RunResult &r : cr.tiles)
+            b.add(r);
+        b.add(cr.timePs);
+        b.add(cr.uncoreEnergyNj);
+        got.emplace_back("chip gsm_decode+mcf", b.digest());
+    }
+
+    const std::pair<const char *, std::uint64_t> golden[] = {
+        {"mcf", 0x06a0704f2327978dull},
+        {"adpcm_decode", 0xb56b569bf1e1e201ull},
+        {"swim", 0x9a801a8e537f349dull},
+        {"gsm_decode offline d=10", 0x791ff88fb2e75e0aull},
+        {"gsm_decode 700 MHz", 0x76435afae7c73b82ull},
+        {"swim slow path", 0xd1830ffdbcf29a45ull},
+        {"gsm_decode sampled", 0xecf8b841ea1063b7ull},
+        {"chip gsm_decode+mcf", 0xbfb29aa9e92198a0ull},
+    };
+    ASSERT_EQ(got.size(), std::size(golden));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, golden[i].first);
+        EXPECT_EQ(got[i].second, golden[i].second)
+            << got[i].first << " digest 0x" << std::hex
+            << got[i].second;
+    }
+}
