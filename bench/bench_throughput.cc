@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the infrastructure itself:
- * workload stream generation, cycle-level simulation (with the
- * idle-edge fast-forward kernel on and off), call-tree profiling and
- * shaker analysis throughput.
+ * workload stream generation, cycle-level simulation (exact,
+ * sampled and checkpointed), call-tree profiling and shaker analysis
+ * throughput.
  *
  * Beyond the standard Google Benchmark flags, `--json FILE` writes a
  * machine-readable summary ({name, wall_ms, iterations, mode,
@@ -104,26 +104,6 @@ BM_CycleSimulation(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 30'000);
 }
 BENCHMARK(BM_CycleSimulation)->Unit(benchmark::kMillisecond);
-
-void
-BM_CycleSimulationSlowPath(benchmark::State &state)
-{
-    // The same run with idle-edge fast-forward disabled: the gap to
-    // BM_CycleSimulation is the kernel's win on an integer workload
-    // whose FP domain is idle.  Results are identical in both modes.
-    workload::Benchmark bm = benchFor("gsm_decode");
-    sim::SimConfig scfg;
-    scfg.fastForward = false;
-    power::PowerConfig pcfg;
-    for (auto _ : state) {
-        sim::Processor proc(scfg, pcfg, bm.program, bm.train);
-        auto r = proc.run(30'000);
-        benchmark::DoNotOptimize(r.timePs);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 30'000);
-}
-BENCHMARK(BM_CycleSimulationSlowPath)->Unit(benchmark::kMillisecond);
 
 void
 BM_CycleSimulationSampled(benchmark::State &state)

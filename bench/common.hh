@@ -27,9 +27,6 @@
  *                    docs/WORKLOADS.md text format)
  *   --list-workloads print the workload registry (names,
  *                    parameters, defaults) and exit
- *   --no-fast-forward  run the simulation kernel without idle-edge
- *                    fast-forward (slower; identical results — the
- *                    CI equivalence gate diffs the two modes)
  *   --sample SPEC    simulation sampling mode (docs/SAMPLING.md):
  *                    "exact" (default, bit-identical detailed
  *                    simulation) or
@@ -136,8 +133,6 @@ printUsage(const char *argv0, std::FILE *to)
         "                   authored program (see "
         "docs/WORKLOADS.md)\n"
         "  --list-workloads print the workload registry and exit\n"
-        "  --no-fast-forward  disable the kernel's idle-edge "
-        "fast-forward (identical results, slower)\n"
         "  --sample SPEC    sampling mode: exact (default) or "
         "sampled[:interval=N,sample=N,warmup=N,ci=PCT]\n"
         "                   (see docs/SAMPLING.md)\n"
@@ -253,8 +248,6 @@ parseArgs(int argc, char **argv)
                 std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
                 std::exit(1);
             }
-        } else if (!std::strcmp(argv[i], "--no-fast-forward")) {
-            cfg.sim.fastForward = false;
         } else if (!std::strcmp(argv[i], "--sample")) {
             // Validate up front so a typo fails here with the
             // grammar message, not mid-sweep.
@@ -332,7 +325,14 @@ runPolicyOverride(const Options &opt)
     for (const auto &bench : benches)
         for (const auto &spec : opt.policies)
             cells.push_back(exp::SweepCell::of(bench, spec));
-    std::vector<exp::Outcome> out = runner.runSweep(cells);
+    std::vector<exp::Outcome> out;
+    try {
+        out = runner.runSweep(cells);
+    } catch (const workload::SpecError &e) {
+        // A policy that refuses a single-core cell (chip-coord).
+        std::fprintf(stderr, "%s\n", e.what());
+        std::exit(1);
+    }
 
     TextTable t;
     t.header({"benchmark", "policy", "slowdown %", "savings %",

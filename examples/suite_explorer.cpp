@@ -76,12 +76,14 @@ main(int argc, char **argv)
             specs.push_back(std::move(spec));
         }
     } else {
-        // No specs given: every registered policy at its schema
-        // defaults, except baseline — its metrics vs itself are all
-        // zero, so the row carries no information.  Canonicalize so
-        // the rows print the defaults they ran with.
+        // No specs given: every sweepable registered policy at its
+        // schema defaults (the roster exp::Tournament uses), except
+        // baseline — its metrics vs itself are all zero, so the row
+        // carries no information.  Canonicalize so the rows print
+        // the defaults they ran with.
         for (const control::Policy *p : reg.list()) {
-            if (std::string(p->name()) == "baseline")
+            if (!p->sweepable() ||
+                std::string(p->name()) == "baseline")
                 continue;
             control::PolicySpec spec =
                 control::PolicySpec::of(p->name());
@@ -102,7 +104,13 @@ main(int argc, char **argv)
     t.header({"policy", "slowdown %", "savings %", "ExD gain %",
               "reconfigs"});
     for (const control::PolicySpec &spec : specs) {
-        exp::Outcome o = runner.run(bench, spec);
+        exp::Outcome o;
+        try {
+            o = runner.run(bench, spec);
+        } catch (const workload::SpecError &e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            return 1;
+        }
         addRow(t, spec.str(), o);
         // Keyed on the outcome fields, not the policy name, so any
         // policy that fills them (profile, hybrid, future

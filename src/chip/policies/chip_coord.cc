@@ -11,12 +11,12 @@
  * Unlike the per-tile policies this one cannot run a single-core
  * benchmark: it exists in the registry so `chip-coord:hi=...`
  * specs canonicalize, list, and cache-key exactly like every other
- * policy, but run() refuses with guidance.  chip::parseCoordSpec()
- * is the consumer.
+ * policy, but run() throws workload::SpecError with guidance.
+ * chip::parseCoordSpec() is the consumer.
  */
 
 #include "control/policy.hh"
-#include "util/logging.hh"
+#include "workload/spec.hh"
 
 namespace mcd::chip
 {
@@ -68,8 +68,8 @@ class ChipCoordPolicy final : public control::Policy
     bool
     sweepable() const override
     {
-        // run() panics by design; all-policy sweeps (the tournament)
-        // must not pick it up.
+        // run() refuses every single-core cell; all-policy sweeps
+        // (the tournament) must not pick it up.
         return false;
     }
 
@@ -77,12 +77,16 @@ class ChipCoordPolicy final : public control::Policy
     run(const std::string &bench, const control::PolicySpec &spec,
         const control::PolicyContext &) const override
     {
-        panic("chip-coord coordinates the shared uncore of a "
-              "chip::Chip and cannot run the single-core benchmark "
-              "'%s'; pass '%s' as the chip coordinator (mcd_client "
-              "--coord, SWEEP coord=) and pick a per-tile policy "
-              "(baseline, online) for the tiles",
-              bench.c_str(), spec.str().c_str());
+        // A spec error, not an abort: the spec can arrive on a wire
+        // frame or a command line, and the server answers
+        // `ERR code=bad-spec`.
+        throw workload::SpecError(
+            "chip-coord coordinates the shared uncore of a "
+            "chip::Chip and cannot run the single-core benchmark '" +
+            bench + "'; pass '" + spec.str() +
+            "' as the chip coordinator (mcd_client --coord, SWEEP "
+            "coord=) and pick a per-tile policy (baseline, online) "
+            "for the tiles");
     }
 };
 

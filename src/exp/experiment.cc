@@ -25,9 +25,10 @@ namespace
 /** Cache schema version: bump when simulation physics or the key or
  *  line format change.  v3: keys carry the canonical PolicySpec
  *  string (policy:key=value,...) instead of per-policy ad-hoc
- *  fragments.  v4: SimConfig::fastForward joined the fingerprint
- *  (energy totals differ between kernel modes in their last bits,
- *  so outcomes from the two modes must never share a cache line).
+ *  fragments.  v4: the idle-edge fast-forward kernel flag joined the
+ *  fingerprint (energy totals differ between kernel modes in their
+ *  last bits, so outcomes from the two modes must never share a
+ *  cache line).
  *  v5: the bench field is the canonical WorkloadSpec string from
  *  WorkloadRegistry::canonicalize() — bare suite names are
  *  unchanged, but generated (`gen:...`) and authored (`prog:...`)
@@ -52,8 +53,11 @@ namespace
  *  (learned outcomes are a function of the frozen weights, which
  *  are a function of the training regime; learned cells trained
  *  under different windows/passes must never share cache lines).
+ *  v10: the fast-forward flag left the fingerprint together with
+ *  the kernel mode itself; every run takes the one edge-by-edge
+ *  path, so v9 lines of either mode are dropped.
  *  (History table: docs/ARCHITECTURE.md, layer 7.) */
-constexpr int CACHE_VERSION = 9;
+constexpr int CACHE_VERSION = 10;
 
 /** Numeric payload fields per cache line (after the key). */
 constexpr std::size_t NUM_LINE_FIELDS = 13;
@@ -212,7 +216,6 @@ configFingerprint(const ExpConfig &cfg)
     f.f64(s.syncWindowFrac);
     f.u64(s.singleClock ? 1 : 0);
     f.u64(s.jitterSeed);
-    f.u64(s.fastForward ? 1 : 0);
 
     const sim::SamplingConfig &sp = s.sampling;
     f.u64(static_cast<std::uint64_t>(sp.mode));
@@ -352,34 +355,6 @@ SweepCell::of(std::string bench, const std::string &spec_text)
     if (!control::parseSpec(spec_text, spec, err))
         fatal("%s", err.c_str());
     return of(std::move(bench), std::move(spec));
-}
-
-SweepCell
-SweepCell::baseline(std::string bench)
-{
-    return of(std::move(bench), control::PolicySpec::of("baseline"));
-}
-
-SweepCell
-SweepCell::profile(std::string bench, core::ContextMode mode, double d)
-{
-    return of(std::move(bench), control::PolicySpec::of("profile")
-                                    .set("mode", mode)
-                                    .set("d", d));
-}
-
-SweepCell
-SweepCell::offline(std::string bench, double d)
-{
-    return of(std::move(bench),
-              control::PolicySpec::of("offline").set("d", d));
-}
-
-SweepCell
-SweepCell::online(std::string bench, double aggressiveness)
-{
-    return of(std::move(bench), control::PolicySpec::of("online")
-                                    .set("aggr", aggressiveness));
 }
 
 Runner::Runner(const ExpConfig &c)
@@ -594,7 +569,7 @@ Runner::memoMisses() const
 Metrics
 Runner::vsBaseline(const std::string &bench, const Outcome &o)
 {
-    Outcome base = baseline(bench);
+    Outcome base = run(bench, control::PolicySpec::of("baseline"));
     return computeMetrics(o.timePs, o.energyNj, base.timePs,
                           base.energyNj);
 }
@@ -789,41 +764,6 @@ Runner::runChip(const ChipCell &cell, std::vector<bool> *row_hits)
             row_hits->push_back(!computed);
     }
     return out;
-}
-
-Outcome
-Runner::baseline(const std::string &bench)
-{
-    return run(bench, control::PolicySpec::of("baseline"));
-}
-
-Outcome
-Runner::profile(const std::string &bench, core::ContextMode mode,
-                double d)
-{
-    return run(bench, control::PolicySpec::of("profile")
-                          .set("mode", mode)
-                          .set("d", d));
-}
-
-Outcome
-Runner::offline(const std::string &bench, double d)
-{
-    return run(bench, control::PolicySpec::of("offline").set("d", d));
-}
-
-Outcome
-Runner::online(const std::string &bench, double aggressiveness)
-{
-    return run(bench, control::PolicySpec::of("online")
-                          .set("aggr", aggressiveness));
-}
-
-Outcome
-Runner::global(const std::string &bench)
-{
-    return run(bench,
-               control::PolicySpec::of("global").set("d", cfg.d));
 }
 
 } // namespace mcd::exp

@@ -72,17 +72,6 @@ struct ExpConfig
     std::uint64_t analysisWindow = 150'000;
     /** Profiling cap for phase 1 (functional run). */
     std::uint64_t profileMaxInstrs = 4'000'000;
-    /**
-     * Slowdown threshold d (percent) read ONLY by the deprecated
-     * `Runner::global(bench)` shim.  Specs with an unset d default
-     * through the parameter schema
-     * (`control::DEFAULT_SLOWDOWN_PCT`, 5.0), never through this
-     * field — spell d out in the spec when it must differ.
-     */
-    // mcd-lint: allow(fingerprint-complete): reaches an outcome only
-    // through the canonical spec text (`d=...`), which is already in
-    // the key.
-    double d = control::DEFAULT_SLOWDOWN_PCT;
     /** Off-line oracle reconfiguration interval. */
     // mcd-lint: allow(fingerprint-complete): keyed via the offline
     // policy's contextKey() fragment (`i10000`); hashing it would
@@ -132,8 +121,10 @@ using Outcome = control::Outcome;
 
 /**
  * One independently-runnable {benchmark, policy spec} cell of a
- * sweep.  Build cells with `of()`; the named factories are thin
- * shims from the pre-registry enum days.
+ * sweep.  Build cells with `of()`.  (Chip runs use ChipCell below,
+ * not SweepCell: a chip cell produces one outcome per tile plus an
+ * uncore row, so it does not fit the one-cell-one-outcome sweep
+ * contract.)
  */
 struct SweepCell
 {
@@ -145,21 +136,6 @@ struct SweepCell
     /** Parses @p spec_text; fatal on a malformed/unknown spec. */
     static SweepCell of(std::string bench,
                         const std::string &spec_text);
-
-    // Deprecated shims for the old closed policy set; prefer of().
-    // (Chip runs use ChipCell below, not SweepCell: a chip cell
-    // produces one outcome per tile plus an uncore row, so it does
-    // not fit the one-cell-one-outcome sweep contract.)
-    // There is deliberately no global() shim: the enum-era global
-    // cell read the runner's `ExpConfig::d` at run time, which a
-    // spec built ahead of time cannot reproduce — build it
-    // explicitly as `PolicySpec::of("global").set("d", cfg.d)` so
-    // the threshold is visible at the call site.
-    static SweepCell baseline(std::string bench);
-    static SweepCell profile(std::string bench, core::ContextMode mode,
-                             double d);
-    static SweepCell offline(std::string bench, double d);
-    static SweepCell online(std::string bench, double aggressiveness);
 };
 
 /**
@@ -258,26 +234,6 @@ class Runner
      * <canonical multi spec>|<tile policy context key>`.
      */
     std::vector<std::string> chipCacheKeys(const ChipCell &cell) const;
-
-    // ------------------------------------------------------------ //
-    // Deprecated entry points for the old closed policy set.  Thin  //
-    // shims over run(bench, spec); kept so pre-registry call sites  //
-    // compile, and pinned bit-identical by tests/test_policy.cc.    //
-    // ------------------------------------------------------------ //
-
-    /** @deprecated Use run(bench, PolicySpec::of("baseline")). */
-    Outcome baseline(const std::string &bench);
-    /** @deprecated Use run() with a "profile:mode=...,d=..." spec. */
-    Outcome profile(const std::string &bench, core::ContextMode mode,
-                    double d);
-    /** @deprecated Use run() with an "offline:d=..." spec. */
-    Outcome offline(const std::string &bench, double d);
-    /** @deprecated Use run() with an "online:aggr=..." spec. */
-    Outcome online(const std::string &bench, double aggressiveness);
-    /** @deprecated Use run() with a "global" spec (the old entry
-     *  matched the off-line run at `ExpConfig::d`, so the shim
-     *  passes that as the spec's d). */
-    Outcome global(const std::string &bench);
 
     const ExpConfig &config() const { return cfg; }
 

@@ -36,16 +36,6 @@ PowerModel::PowerModel(const PowerConfig &c)
 }
 
 void
-PowerModel::clockCycles(Domain d, Volt v, std::uint64_t n)
-{
-    if (d == Domain::External || n == 0)
-        return;
-    domainNj[domainIndex(d)] += cfg.clockPj[domainIndex(d)] *
-                                scaleV2(v) / 1000.0 *
-                                static_cast<double>(n);
-}
-
-void
 PowerModel::extra(Domain d, double pj)
 {
     if (d == Domain::External)

@@ -138,16 +138,6 @@ class PowerModel
             cfg.clockPj[domainIndex(d)] * scaleV2(v) / 1000.0;
     }
 
-    /**
-     * Charge @p n clock cycles of domain @p d at the constant
-     * voltage @p v in closed form.  Used by the simulation kernel to
-     * account the clock-tree energy of fast-forwarded idle edges (a
-     * parked domain never ramps, so one voltage covers the whole
-     * span); identical to @p n clockCycle() calls up to
-     * floating-point summation order.
-     */
-    void clockCycles(Domain d, Volt v, std::uint64_t n);
-
     /** Charge leakage of domain @p d over @p dt_ps at voltage @p v. */
     void
     leakage(Domain d, Volt v, Tick dt_ps)

@@ -117,23 +117,6 @@ DomainClock::advance()
     }
 }
 
-std::uint64_t
-DomainClock::fastForwardTo(Tick t)
-{
-    // Consuming each edge through advance() keeps the edge schedule
-    // bit-identical to stepping by construction: one jitter draw per
-    // edge, the same arithmetic.  A hand-specialized loop would
-    // duplicate that arithmetic; with cached periods and the shared
-    // jitter prefix an edge is a few adds and a table read, so the
-    // batch saves little (docs/ARCHITECTURE.md, "Kernel hot path").
-    std::uint64_t n = 0;
-    while (jitteredNext < t) {
-        advance();
-        ++n;
-    }
-    return n;
-}
-
 Mhz
 DomainClock::averageFreq() const
 {

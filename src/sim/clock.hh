@@ -110,18 +110,6 @@ class DomainClock
     std::uint64_t edges() const { return edgeCount; }
 
     /**
-     * Consume every edge strictly before time @p t and return how
-     * many were consumed.  Each edge goes through advance(), so the
-     * jitter stream sees exactly one draw per edge and the resulting
-     * edge times are bit-identical to stepping edge by edge — this
-     * is what makes the kernel's idle-domain fast-forward
-     * deterministic.  Callers only fast-forward non-ramping clocks
-     * (the kernel parks a domain only when ramping() is false), so
-     * frequency and voltage are constant across the span.
-     */
-    std::uint64_t fastForwardTo(Tick t);
-
-    /**
      * Time-weighted average frequency since construction (for
      * reporting).
      */

@@ -92,19 +92,6 @@ struct SimConfig
     std::uint64_t jitterSeed = 7777;
 
     /**
-     * Idle-edge fast-forward: the simulation kernel parks domains
-     * that provably have no work (empty issue queue, stable
-     * frequency) and replays their skipped edges in batch when they
-     * wake.  Edge times, instruction timing and every counter are
-     * bit-identical to the slow path — each skipped edge still draws
-     * its jitter sample and the ramp never runs while parked — only
-     * the floating-point summation order of energy totals differs
-     * (below any reported precision).  Part of the memo-cache
-     * fingerprint so outcomes from the two modes never mix.
-     */
-    bool fastForward = true;
-
-    /**
      * Sampling mode and geometry (sim/sampling.hh): exact by default;
      * sampled mode trades bounded error for 10-100x per-cell speed.
      * All fields fingerprinted (CACHE_VERSION v8).

@@ -83,20 +83,6 @@ ExecDomain::stillWaiting(Tick now, std::uint64_t cur_edge,
     return true;
 }
 
-Tick
-ExecDomain::idleHorizon() const
-{
-    // Only a front-end dispatch can put work in the issue queue, and
-    // dispatch wakes this domain explicitly.
-    return p.iq[domainIndex(dom)].empty() ? Kernel::NEVER : 0;
-}
-
-void
-ExecDomain::skipped(std::uint64_t n)
-{
-    p.occSamples[domainIndex(dom)] += n;
-}
-
 bool
 ExecDomain::tryIssue(Tick now, Uop &u, const SyncMargins &margin,
                      IssueWait &wait)

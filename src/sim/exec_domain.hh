@@ -7,11 +7,7 @@
  * that domain's clock.
  *
  * State lives on the owning Processor (the issue queues feed from
- * the shared ROB); this class is the per-domain *logic* plus its
- * scheduling contract with the Kernel: an exec domain is idle
- * exactly while its issue queue is empty, and only a front-end
- * dispatch can end that, so the kernel parks it until the front end
- * wakes it.
+ * the shared ROB); this class is the per-domain *logic*.
  */
 
 #ifndef MCD_SIM_EXEC_DOMAIN_HH
@@ -46,7 +42,7 @@ struct IssueWait
 {
     /** Earliest time threshold (dispatch synchronizer, a completed
      *  producer's value crossing domains). */
-    Tick time = Kernel::NEVER;
+    Tick time = ~static_cast<Tick>(0);
     /** Earliest own-clock edge threshold (a same-domain producer's
      *  result edge, a busy functional unit). */
     std::uint64_t edge = ~0ULL;
@@ -76,14 +72,6 @@ class ExecDomain final : public DomainComponent
      *  unless the previous scan issued nothing and nothing it
      *  waited on has changed (see IssueWait). */
     void tick(Tick now) override;
-
-    /** Idle (until woken by a dispatch) iff the issue queue is
-     *  empty. */
-    Tick idleHorizon() const override;
-
-    /** Skipped edges advance the occupancy sample count only (the
-     *  occupancy sum gains zeros while the queue is empty). */
-    void skipped(std::uint64_t n) override;
 
   private:
     /** Issue @p u at @p now if its operands, store ordering and a

@@ -24,36 +24,6 @@ Frontend::tick(Tick now)
     fetch(now);
 }
 
-Tick
-Frontend::idleHorizon() const
-{
-    // Anything in flight keeps the front end busy: commit drains the
-    // ROB and dispatch drains the fetch queue on its edges.
-    if (!p.rob.empty() || !p.fetchQueue.empty())
-        return 0;
-    // A drained window with fetch exhausted means the run is about
-    // to stop; stay busy and let the stop condition fire.
-    if (p.streamEnded || p.fetchedInstrs >= p.maxInstrs_)
-        return 0;
-    // Fetch is live: every blocking condition is a known time once
-    // the window has drained (a retired mispredict always has its
-    // redirect time computed at commit).
-    Tick h = std::max(p.fetchStallUntil, p.icacheBlockedUntil);
-    if (p.blockedBranchSeq != 0) {
-        if (p.redirectAt == 0)
-            return 0;  // defensive: unknown redirect, stay busy
-        h = std::max(h, p.redirectAt);
-    }
-    return h;
-}
-
-void
-Frontend::skipped(std::uint64_t n)
-{
-    p.feTickCount += n;
-    p.occSamples[domainIndex(Domain::FrontEnd)] += n;
-}
-
 void
 Frontend::applyMarker(const MarkerAction &a, Tick now)
 {
@@ -73,7 +43,7 @@ Frontend::applyMarker(const MarkerAction &a, Tick now)
     }
     if (a.reconfig) {
         for (Domain d : scaledDomains())
-            p.kernel.setTarget(d, a.freqs[domainIndex(d)]);
+            p.clock(d).setTarget(a.freqs[domainIndex(d)]);
         ++p.reconfigCount;
     }
 }
@@ -278,10 +248,6 @@ Frontend::dispatch(Tick now)
             p.storeSeqs.push_back(u.seq);
         p.rob.push_back(u);
         p.iq[di].push_back(u.seq);
-        // The consuming domain may be parked on an empty queue; it
-        // has work now.  Waking replays its idle edges up to `now`,
-        // so an edge exactly at `now` still issues this cycle.
-        p.kernel.wake(u.domain);
 
         p.power_.access(power::Unit::Rename, fe_v);
         p.power_.access(power::Unit::Rob, fe_v);
@@ -390,8 +356,8 @@ Frontend::commit(Tick now)
                p.committedInstrs + p.skippedInstrs >=
                    p.schedule[p.schedulePos].atInstr) {
             for (Domain d : scaledDomains())
-                p.kernel.setTarget(
-                    d, p.schedule[p.schedulePos].freqs[domainIndex(d)]);
+                p.clock(d).setTarget(
+                    p.schedule[p.schedulePos].freqs[domainIndex(d)]);
             ++p.reconfigCount;
             ++p.schedulePos;
         }
@@ -400,9 +366,6 @@ Frontend::commit(Tick now)
             p.committedInstrs + p.skippedInstrs -
                     p.intervalStartInstrs >=
                 p.intervalInstrs) {
-            // Occupancy denominators must include parked domains'
-            // idle edges up to this commit.
-            p.kernel.syncStats();
             IntervalStats s;
             s.instrs = p.committedInstrs + p.skippedInstrs -
                        p.intervalStartInstrs;

@@ -6,11 +6,7 @@
  * that runs on every front-end clock edge.
  *
  * State lives on the owning Processor (the instruction window is
- * shared with the exec domains); this class is the front-end *logic*
- * plus its scheduling contract with the Kernel: it is idle exactly
- * when the window is drained and fetch is blocked until a known
- * time, and an idle front end implies the whole pipeline is empty,
- * so the kernel can jump straight to the unblock time.
+ * shared with the exec domains); this class is the front-end *logic*.
  */
 
 #ifndef MCD_SIM_FRONTEND_HH
@@ -33,19 +29,6 @@ class Frontend final : public DomainComponent
     /** One front-end edge: commit, dispatch, fetch (in that order,
      *  so a dispatch slot freed by commit is usable this cycle). */
     void tick(Tick now) override;
-
-    /**
-     * Busy whenever anything is in flight (ROB or fetch queue
-     * non-empty) or fetch can proceed; otherwise idle until the
-     * latest of the fetch-blocking horizons (instrumentation stall,
-     * I-cache miss, mispredict redirect), all of which are known
-     * once the window has drained.
-     */
-    Tick idleHorizon() const override;
-
-    /** Skipped edges advance the front-end cycle counter and its
-     *  occupancy sample count (the sums gain only zeros). */
-    void skipped(std::uint64_t n) override;
 
     /** Apply a marker action to the pipeline (stall, injected-code
      *  energy, reconfiguration register write).  Public so the

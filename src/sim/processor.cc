@@ -60,13 +60,13 @@ void
 Processor::setInitialFreqs(const FreqSet &freqs)
 {
     for (Domain d : scaledDomains())
-        kernel.jumpTo(d, freqs[domainIndex(d)]);
+        clock(d).jumpTo(freqs[domainIndex(d)]);
 }
 
 void
 Processor::setTarget(Domain d, Mhz f)
 {
-    kernel.setTarget(d, f);
+    clock(d).setTarget(f);
 }
 
 Mhz
@@ -98,7 +98,6 @@ Processor::beginRun(std::uint64_t max_instrs)
     maxInstrs_ = max_instrs;
     watchdogLastCheck = 0;
     watchdogLastInstrs = 0;
-    kernel.prologue();
 }
 
 void
@@ -121,7 +120,6 @@ Processor::stepEdge()
 RunResult
 Processor::finishRun()
 {
-    kernel.finish();
     Tick end = kernel.now();
 
     RunResult r;
@@ -142,7 +140,6 @@ Processor::finishRun()
     r.dramAccesses = dramAccessCount;
     r.reconfigs = reconfigCount;
     r.overheadCycles = overheadCycleCount;
-    r.ffEdges = kernel.fastForwardedEdges();
     for (Domain d : scaledDomains()) {
         r.avgFreq[domainIndex(d)] = clock(d).averageFreq();
         r.domainEnergyNj[domainIndex(d)] = power_.domainEnergyNj(d);

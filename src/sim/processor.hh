@@ -183,7 +183,7 @@ class Processor : public DvfsControl
     /** Process exactly one edge, then run the watchdog check. */
     void stepEdge();
 
-    /** Drain parked clocks and assemble the result. */
+    /** Assemble the result of the run. */
     RunResult finishRun();
 
     /**

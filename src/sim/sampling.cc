@@ -130,8 +130,8 @@ Processor::applyScheduleUpTo(std::uint64_t v)
     while (schedulePos < schedule.size() &&
            schedule[schedulePos].atInstr <= v) {
         for (Domain d : scaledDomains())
-            kernel.setTarget(
-                d, schedule[schedulePos].freqs[domainIndex(d)]);
+            clock(d).setTarget(
+                schedule[schedulePos].freqs[domainIndex(d)]);
         ++reconfigCount;
         ++schedulePos;
     }
@@ -273,9 +273,6 @@ Processor::runSampled(std::uint64_t max_instrs)
             stepEdge();
             if (measuring && !have0 &&
                 committedInstrs >= warm_target) {
-                // Fold parked domains' clock-tree energy up to now
-                // so both snapshots see the same accounting state.
-                kernel.syncStats();
                 t0 = lastCommitTime;
                 e0_chip = power_.chipEnergyNj();
                 e0_dram = power_.dramEnergyNj();
@@ -283,7 +280,6 @@ Processor::runSampled(std::uint64_t max_instrs)
             }
         }
         if (have0 && committedInstrs > warm_target) {
-            kernel.syncStats();
             double dn =
                 static_cast<double>(committedInstrs - warm_target);
             cpi.push_back(

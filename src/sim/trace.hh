@@ -149,9 +149,6 @@ struct RunResult
     std::uint64_t dramAccesses = 0;
     std::uint64_t reconfigs = 0;
     std::uint64_t overheadCycles = 0;  ///< instrumentation stalls
-    /** Clock edges the kernel fast-forwarded instead of processing
-     *  (0 when SimConfig::fastForward is off). */
-    std::uint64_t ffEdges = 0;
     /** Sampled-mode reporting (sim/sampling.hh); all zero/false in
      *  exact mode.  timePs/energies are then detailed measurements
      *  plus the per-instruction extrapolation over skipped spans,

@@ -194,35 +194,6 @@ TEST(DomainClock, AverageFreqTimeWeightedAcrossRamp)
     EXPECT_GT(later, plateau_avg);
 }
 
-TEST(DomainClock, FastForwardMatchesStepwiseAdvance)
-{
-    // fastForwardTo must be indistinguishable from stepping
-    // advance() edge by edge: same edge count, same (jittered) next
-    // edge, same average frequency — the determinism argument for
-    // the kernel's idle-edge fast-forward.
-    SimConfig c = cfg();
-    DomainClock stepped(c, Domain::Memory, true, Rng(10));
-    DomainClock jumped(c, Domain::Memory, true, Rng(10));
-    const Tick t = 5'000'500;
-    std::uint64_t n = 0;
-    while (stepped.nextEdge() < t) {
-        stepped.advance();
-        ++n;
-    }
-    EXPECT_EQ(jumped.fastForwardTo(t), n);
-    EXPECT_GT(n, 4900u);
-    EXPECT_EQ(jumped.edges(), stepped.edges());
-    EXPECT_EQ(jumped.nextEdge(), stepped.nextEdge());
-    EXPECT_GE(jumped.nextEdge(), t);  // consumed edges before t only
-    EXPECT_DOUBLE_EQ(jumped.averageFreq(), stepped.averageFreq());
-    // ... and the streams stay aligned afterwards.
-    for (int i = 0; i < 100; ++i) {
-        stepped.advance();
-        jumped.advance();
-        EXPECT_EQ(jumped.nextEdge(), stepped.nextEdge());
-    }
-}
-
 TEST(JitterPrefix, SharedPrefixMatchesLiveStream)
 {
     // A clock reading the shared prefix must see exactly the edges a

@@ -3,10 +3,8 @@
  * Tests for the open policy API: registry registration/lookup,
  * PolicySpec parse/print round-trips and error messages,
  * canonical-spec cache-key stability, schema defaults (unset
- * parameters fall back to documented defaults, never zero), and a
- * cross-check that every ported policy's Outcome is bit-identical
- * between the deprecated entry points and the spec-based API at one
- * job.
+ * parameters fall back to documented defaults, never zero), and the
+ * hybrid policy as proof the registry is open.
  */
 
 #include <gtest/gtest.h>
@@ -327,69 +325,6 @@ TEST(PolicyCacheKey, CommaBearingKeysRoundTripThroughTheFileCache)
             .timePs,
         t1);
     std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------- //
-// Ported policies: spec API vs deprecated entry points             //
-// ---------------------------------------------------------------- //
-
-TEST(PolicyPort, SpecOutcomesBitIdenticalToDeprecatedEntryPoints)
-{
-    const char *bench = "gsm_decode";
-    ExpConfig cfg = smallConfig();
-    Runner oldApi(cfg);
-    Runner newApi(cfg);
-    expectSameOutcome(oldApi.baseline(bench),
-                      newApi.run(bench, PolicySpec::of("baseline")));
-    expectSameOutcome(
-        oldApi.profile(bench, core::ContextMode::LF, 10.0),
-        newApi.run(bench, PolicySpec::of("profile")
-                              .set("mode", core::ContextMode::LF)
-                              .set("d", 10.0)));
-    expectSameOutcome(
-        oldApi.offline(bench, 10.0),
-        newApi.run(bench, PolicySpec::of("offline").set("d", 10.0)));
-    expectSameOutcome(
-        oldApi.online(bench, 1.0),
-        newApi.run(bench, PolicySpec::of("online").set("aggr", 1.0)));
-    // The old global entry matched the off-line run at ExpConfig::d.
-    expectSameOutcome(
-        oldApi.global(bench),
-        newApi.run(bench,
-                   PolicySpec::of("global").set("d", cfg.d)));
-}
-
-TEST(PolicyPort, SweepCellShimsMatchSpecCells)
-{
-    ExpConfig cfg = smallConfig();
-    const char *bench = "adpcm_decode";
-    std::vector<SweepCell> shim = {
-        SweepCell::baseline(bench),
-        SweepCell::profile(bench, core::ContextMode::LF, 10.0),
-        SweepCell::offline(bench, 10.0),
-        SweepCell::online(bench, 1.0),
-        // No global shim exists (a spec built ahead of time cannot
-        // reproduce the enum cell's run-time ExpConfig::d read);
-        // the explicit spec form is the only way to build the cell.
-        SweepCell::of(bench, control::PolicySpec::of("global")
-                                 .set("d", 5.0)),
-    };
-    std::vector<SweepCell> spec = {
-        SweepCell::of(bench, "baseline"),
-        SweepCell::of(bench, "profile:mode=LF,d=10"),
-        SweepCell::of(bench, "offline:d=10"),
-        SweepCell::of(bench, "online:aggr=1"),
-        SweepCell::of(bench, "global:d=5"),
-    };
-    Runner a(cfg);
-    std::vector<Outcome> oa = a.runSweep(shim, 1);
-    Runner b(cfg);
-    std::vector<Outcome> ob = b.runSweep(spec, 1);
-    ASSERT_EQ(oa.size(), ob.size());
-    for (std::size_t i = 0; i < oa.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameOutcome(oa[i], ob[i]);
-    }
 }
 
 // ---------------------------------------------------------------- //

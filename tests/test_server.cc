@@ -342,6 +342,62 @@ TEST(ServerTranscript, BadSpecsNameTheRegistries)
     EXPECT_NE(line.find("takes:"), std::string::npos) << line;
 }
 
+// Every registered policy, at its schema defaults, either yields a
+// row or is refused with a structured error — through Runner::run
+// and through a single-core SWEEP frame — and the server keeps
+// serving afterwards.  A policy added later is covered unedited.
+TEST(ServerTranscript, EveryRegisteredPolicyAnswersOrErrs)
+{
+    srv::ServerConfig cfg = smallServer();
+    ScopedServer s(cfg);
+    mcd::exp::Runner runner(cfg.exp);
+    srv::Conn conn = s.raw();
+    const std::string bench = "gsm_decode";
+    int n = 0;
+    for (const control::Policy *p :
+         control::PolicyRegistry::instance().list()) {
+        SCOPED_TRACE(p->name());
+        control::PolicySpec spec = control::PolicySpec::of(p->name());
+        std::string err;
+        ASSERT_TRUE(control::PolicyRegistry::instance().canonicalize(
+            spec, err))
+            << err;
+
+        std::string row;
+        try {
+            row = srv::resultLine(bench, spec.str(),
+                                  runner.run(bench, spec));
+        } catch (const workload::SpecError &) {
+            // Refused in process: the wire must refuse it too.
+        }
+
+        std::string id = "p" + std::to_string(n++);
+        ASSERT_TRUE(conn.writeLine("MCD/2 SWEEP id=" + id +
+                                   " workload=" + bench +
+                                   " policy=" + spec.str()));
+        std::string line = readLineChecked(conn);
+        if (row.empty()) {
+            EXPECT_NE(line.find("ERR id=" + id + " code=bad-spec"),
+                      std::string::npos)
+                << line;
+        } else {
+            // The memo flag depends on which dependency cells earlier
+            // policies computed, so only the row itself is compared.
+            EXPECT_EQ(line.rfind("MCD/2 ROW id=" + id + " " + row +
+                                     " memo=",
+                                 0),
+                      0u)
+                << line;
+            EXPECT_EQ(readLineChecked(conn).rfind(
+                          "MCD/2 DONE id=" + id + " rows=1 ", 0),
+                      0u);
+        }
+        ASSERT_TRUE(conn.writeLine("MCD/2 PING"));
+        ASSERT_EQ(readLineChecked(conn), "MCD/2 OK");
+    }
+    EXPECT_GE(n, 8);
+}
+
 // ---------------------------------------------------------------- //
 // Framing robustness                                               //
 // ---------------------------------------------------------------- //
