@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "util/logging.hh"
+#include "util/text.hh"
 
 namespace mcd::control
 {
@@ -123,7 +124,7 @@ PolicySpec::set(const std::string &key, const std::string &value)
         // stale previous value.
         p.num = 0.0;
         p.mode = core::ContextMode::LF;
-        parseDouble(value, p.num);
+        util::parseDouble(value, p.num);
         parseContextMode(value, p.mode);
     };
     for (Param &p : params) {
@@ -142,7 +143,7 @@ PolicySpec::set(const std::string &key, const std::string &value)
 PolicySpec &
 PolicySpec::set(const std::string &key, double value)
 {
-    return set(key, fmtFixed(value, 3));
+    return set(key, util::fmtFixed(value, 3));
 }
 
 PolicySpec &
@@ -333,7 +334,7 @@ PolicyRegistry::canonicalize(PolicySpec &spec, std::string &err) const
         switch (pi.type) {
           case ParamType::Double: {
             double v = pi.defaultDouble;
-            if (given && !parseDouble(given->text, v)) {
+            if (given && !util::parseDouble(given->text, v)) {
                 err = "policy '" + spec.policy + "' parameter '" +
                       pi.name + "': '" + given->text +
                       "' is not a number";
@@ -362,8 +363,8 @@ PolicyRegistry::canonicalize(PolicySpec &spec, std::string &err) const
             // Canonical text is the 3-digit fixed form, and the
             // typed value is re-parsed from it so the cache key and
             // the computation can never disagree.
-            out.text = fmtFixed(v, 3);
-            parseDouble(out.text, out.num);
+            out.text = util::fmtFixed(v, 3);
+            util::parseDouble(out.text, out.num);
             break;
           }
           case ParamType::Mode: {
@@ -407,7 +408,7 @@ describePolicies()
                << "> (default "
                << (pi.type == ParamType::Mode
                        ? std::string(compactModeName(pi.defaultMode))
-                       : fmtFixed(pi.defaultDouble, 3))
+                       : util::fmtFixed(pi.defaultDouble, 3))
                << "): " << pi.help << '\n';
         }
     }

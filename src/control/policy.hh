@@ -34,13 +34,11 @@
 #include <string>
 #include <vector>
 
-#include "control/learned.hh"
 #include "core/calltree.hh"
 #include "power/power.hh"
 #include "sim/config.hh"
 #include "sim/trace.hh"
 #include "util/stats.hh"
-#include "util/text.hh"
 
 namespace mcd::sim
 {
@@ -214,9 +212,6 @@ struct PolicyContext
     std::uint64_t profileMaxInstrs = 4'000'000;
     /** Off-line oracle reconfiguration interval (instructions). */
     std::uint64_t offlineInterval = 10'000;
-    /** Training regime for the `learned` policy (fingerprinted on
-     *  the harness side under prefix `ln`). */
-    LearnedConfig learned;
     /** Memoized evaluation of another (bench, spec) cell. */
     std::function<Outcome(const std::string &bench,
                           const PolicySpec &spec)>
@@ -417,13 +412,6 @@ struct PolicyRegistrar
  * definition shared by `--list-policies` and the explorer example.
  */
 std::string describePolicies();
-
-/** Locale-independent fixed-point decimal and strict double parse —
- *  the shared spec-text primitives live in util/text.hh (the
- *  workload spec grammar uses the same ones); re-exported here for
- *  the pre-existing control:: spelling. */
-using util::fmtFixed;
-using util::parseDouble;
 
 /** Parse a context mode from its compact ("LFCP"), printable
  *  ("L+F+C+P") or lower-case form.  Returns false on no match. */

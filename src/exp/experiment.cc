@@ -55,9 +55,11 @@ namespace
  *  under different windows/passes must never share cache lines).
  *  v10: the fast-forward flag left the fingerprint together with
  *  the kernel mode itself; every run takes the one edge-by-edge
- *  path, so v9 lines of either mode are dropped.
+ *  path, so v9 lines of either mode are dropped.  v11: the
+ *  `learned` policy and its two training knobs were deleted, so
+ *  they left the fingerprint; v10 lines are dropped.
  *  (History table: docs/ARCHITECTURE.md, layer 7.) */
-constexpr int CACHE_VERSION = 10;
+constexpr int CACHE_VERSION = 11;
 
 /** Numeric payload fields per cache line (after the key). */
 constexpr std::size_t NUM_LINE_FIELDS = 13;
@@ -107,7 +109,7 @@ lineToOutcome(const std::string &line, std::string &key, Outcome &o)
         std::size_t comma = line.rfind(',', end == 0 ? 0 : end - 1);
         if (comma == std::string::npos)
             return false;
-        if (!control::parseDouble(
+        if (!util::parseDouble(
                 line.substr(comma + 1, end - comma - 1), *fields[i]))
             return false;
         end = comma;
@@ -244,10 +246,6 @@ configFingerprint(const ExpConfig &cfg)
     f.u64(ch.coordIntervalPs);
     f.f64(ch.uncoreClockPj);
     f.f64(ch.uncoreLeakW);
-
-    const control::LearnedConfig &ln = cfg.learned;
-    f.u64(ln.trainWindow);
-    f.u64(ln.trainPasses);
     return f.h;
 }
 
@@ -366,7 +364,6 @@ Runner::Runner(const ExpConfig &c)
     ctx.analysisWindow = cfg.analysisWindow;
     ctx.profileMaxInstrs = cfg.profileMaxInstrs;
     ctx.offlineInterval = cfg.offlineInterval;
-    ctx.learned = cfg.learned;
     // Cross-policy dependencies (global -> offline, metrics ->
     // baseline) resolve through the runner's memo, so shared
     // sub-runs are computed once no matter which thread or policy

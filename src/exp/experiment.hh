@@ -91,11 +91,6 @@ struct ExpConfig
      *  of them join the fingerprint, so chip sweep cells run with a
      *  different uncore never share cache lines. */
     chip::ChipConfig chip;
-    /** Training regime for the `learned` policy
-     *  (src/control/learned.hh); both knobs join the fingerprint
-     *  (prefix `ln`), so learned outcomes trained under different
-     *  regimes never share cache lines. */
-    control::LearnedConfig learned;
 
     ExpConfig()
     {

@@ -47,9 +47,9 @@ Tournament::Tournament(Runner &r, const TournamentConfig &cfg)
     if (runner.config().sim.sampling.sampled())
         throw workload::SpecError(
             "the tournament ranks feedback controllers (online, "
-            "hybrid, learned), whose decisions diverge under "
-            "sampled simulation (docs/SAMPLING.md); run the "
-            "tournament with --sample exact");
+            "hybrid), whose decisions diverge under sampled "
+            "simulation (docs/SAMPLING.md); run the tournament "
+            "with --sample exact");
 
     oracleSpec = canonicalPolicy(cfg.oracle, "oracle").str();
 

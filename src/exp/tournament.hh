@@ -13,8 +13,7 @@
  * (both sides measured against the MCD baseline, Section 4.1, so
  * the baseline's regret is exactly the oracle's gain).  Policies
  * rank by mean regret, ascending; the holdout column isolates the
- * `gen:` workloads no heuristic was hand-tuned on, which is where a
- * learned policy has to earn its seat.
+ * `gen:` workloads no heuristic was hand-tuned on.
  *
  * Determinism: cells run through exp::Runner::runSweep(), whose
  * results come back in cell order at any thread count, and every
@@ -24,7 +23,7 @@
  *
  * The tournament refuses sampled simulation outright: the default
  * roster contains feedback controllers (`online`, the `hybrid`
- * guard, `learned`) whose *decisions* diverge under sampling
+ * guard) whose *decisions* diverge under sampling
  * (docs/SAMPLING.md, "Feedback policies"), and a ranking that mixes
  * trustworthy and untrustworthy rows is worse than no ranking.
  */

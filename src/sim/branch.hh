@@ -57,9 +57,6 @@ class BranchPredictor
     std::uint64_t lookups() const { return nLookups; }
 
   private:
-    /** Checkpoint serialization reads/writes the raw arrays. */
-    friend class CheckpointIo;
-
     struct BtbEntry
     {
         std::uint64_t tag = ~0ULL;

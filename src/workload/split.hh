@@ -1,11 +1,11 @@
 /**
  * @file
- * Train/eval workload splits for learned policies and the policy
- * tournament (exp/tournament.hh).
+ * Train/eval workload splits for the policy tournament
+ * (exp/tournament.hh).
  *
  * The split answers one question honestly: did a policy generalize,
  * or did it memorize?  `trainingSplit()` names the curated suite
- * benchmarks a learned policy may tune against; `holdoutSplit()`
+ * benchmarks a policy may be tuned against; `holdoutSplit()`
  * names procedurally generated (`gen:`) workloads that no heuristic
  * in this repository was hand-tuned on — their canonical specs are
  * the identity, so the split is stable across machines and runs.
@@ -32,7 +32,7 @@ namespace mcd::workload
 const std::vector<std::string> &trainingSplit();
 
 /** Held-out generated workloads (canonical `gen:` specs) that
- *  heuristics and learned policies first meet at evaluation time. */
+ *  policies first meet at evaluation time. */
 const std::vector<std::string> &holdoutSplit();
 
 /** The tournament roster: trainingSplit() then holdoutSplit(). */

@@ -1,6 +1,5 @@
 #include "workload/suite.hh"
 
-#include "util/logging.hh"
 #include "workload/registry.hh"
 
 namespace mcd::workload
@@ -829,19 +828,101 @@ makeEquake()
 
 } // namespace
 
+namespace detail
+{
+
+const std::vector<SuiteEntry> &
+suiteTable()
+{
+    static const std::vector<SuiteEntry> table = {
+        {"adpcm_decode",
+         "MediaBench adpcm decode: tiny-footprint integer DSP sample "
+         "loop",
+         [] { return makeAdpcm(false); }},
+        {"adpcm_encode",
+         "MediaBench adpcm encode: tiny-footprint integer DSP sample "
+         "loop",
+         [] { return makeAdpcm(true); }},
+        {"epic_decode",
+         "MediaBench epic decode: FP pyramid reconstruction + "
+         "integer write-out",
+         makeEpicDecode},
+        {"epic_encode",
+         "MediaBench epic encode: internal_filter from six call "
+         "sites (context-sensitive)",
+         makeEpicEncode},
+        {"g721_decode",
+         "MediaBench g721 decode: one dominant predictor-update "
+         "kernel",
+         [] { return makeG721(false); }},
+        {"g721_encode",
+         "MediaBench g721 encode: one dominant predictor-update "
+         "kernel",
+         [] { return makeG721(true); }},
+        {"gsm_decode",
+         "MediaBench gsm decode: per-frame LPC/LTP filter phases",
+         [] { return makeGsm(false); }},
+        {"gsm_encode",
+         "MediaBench gsm encode: per-frame LPC/LTP filter phases",
+         [] { return makeGsm(true); }},
+        {"jpeg_compress",
+         "MediaBench jpeg compress: DCT/quantize/entropy block "
+         "pipeline",
+         [] { return makeJpeg(true); }},
+        {"jpeg_decompress",
+         "MediaBench jpeg decompress: entropy/dequantize/IDCT block "
+         "pipeline",
+         [] { return makeJpeg(false); }},
+        {"mpeg2_decode",
+         "MediaBench mpeg2 decode: B-frame paths unseen during "
+         "training",
+         makeMpeg2Decode},
+        {"mpeg2_encode",
+         "MediaBench mpeg2 encode: motion-estimation loop nests "
+         "dominate",
+         makeMpeg2Encode},
+        {"gzip",
+         "SPEC gzip: deflate with longest_match search, rare side "
+         "paths",
+         makeGzip},
+        {"vpr",
+         "SPEC vpr: training places, reference routes (coverage "
+         "~0.1)",
+         makeVpr},
+        {"mcf",
+         "SPEC mcf: pointer-chasing network simplex, memory bound",
+         makeMcf},
+        {"swim",
+         "SPEC swim: FP shallow-water stencils, grid-dependent node "
+         "set",
+         makeSwim},
+        {"applu",
+         "SPEC applu: SSOR solver, multiple loop nests per "
+         "subroutine",
+         makeApplu},
+        {"art",
+         "SPEC art: neural-net matching, one loop with seven "
+         "sub-loops",
+         makeArt},
+        {"equake",
+         "SPEC equake: sparse matrix-vector product, stable call "
+         "tree",
+         makeEquake},
+    };
+    return table;
+}
+
+} // namespace detail
+
 const std::vector<std::string> &
 suiteNames()
 {
-    static const std::vector<std::string> names = {
-        "adpcm_decode", "adpcm_encode",
-        "epic_decode", "epic_encode",
-        "g721_decode", "g721_encode",
-        "gsm_decode", "gsm_encode",
-        "jpeg_compress", "jpeg_decompress",
-        "mpeg2_decode", "mpeg2_encode",
-        "gzip", "vpr", "mcf",
-        "swim", "applu", "art", "equake",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const detail::SuiteEntry &e : detail::suiteTable())
+            v.emplace_back(e.name);
+        return v;
+    }();
     return names;
 }
 
@@ -863,98 +944,5 @@ makeBenchmark(const std::string &name)
     // every registered workload, not a fatal().
     return makeWorkload(name);
 }
-
-namespace detail
-{
-
-Benchmark
-buildSuiteBenchmark(const std::string &name)
-{
-    if (name == "adpcm_decode") return makeAdpcm(false);
-    if (name == "adpcm_encode") return makeAdpcm(true);
-    if (name == "epic_decode") return makeEpicDecode();
-    if (name == "epic_encode") return makeEpicEncode();
-    if (name == "g721_decode") return makeG721(false);
-    if (name == "g721_encode") return makeG721(true);
-    if (name == "gsm_decode") return makeGsm(false);
-    if (name == "gsm_encode") return makeGsm(true);
-    if (name == "jpeg_compress") return makeJpeg(true);
-    if (name == "jpeg_decompress") return makeJpeg(false);
-    if (name == "mpeg2_decode") return makeMpeg2Decode();
-    if (name == "mpeg2_encode") return makeMpeg2Encode();
-    if (name == "gzip") return makeGzip();
-    if (name == "vpr") return makeVpr();
-    if (name == "mcf") return makeMcf();
-    if (name == "swim") return makeSwim();
-    if (name == "applu") return makeApplu();
-    if (name == "art") return makeArt();
-    if (name == "equake") return makeEquake();
-    panic("'%s' is not a suite benchmark", name.c_str());
-}
-
-const char *
-suiteDescription(const std::string &name)
-{
-    if (name == "adpcm_decode")
-        return "MediaBench adpcm decode: tiny-footprint integer "
-               "DSP sample loop";
-    if (name == "adpcm_encode")
-        return "MediaBench adpcm encode: tiny-footprint integer "
-               "DSP sample loop";
-    if (name == "epic_decode")
-        return "MediaBench epic decode: FP pyramid reconstruction "
-               "+ integer write-out";
-    if (name == "epic_encode")
-        return "MediaBench epic encode: internal_filter from six "
-               "call sites (context-sensitive)";
-    if (name == "g721_decode")
-        return "MediaBench g721 decode: one dominant "
-               "predictor-update kernel";
-    if (name == "g721_encode")
-        return "MediaBench g721 encode: one dominant "
-               "predictor-update kernel";
-    if (name == "gsm_decode")
-        return "MediaBench gsm decode: per-frame LPC/LTP filter "
-               "phases";
-    if (name == "gsm_encode")
-        return "MediaBench gsm encode: per-frame LPC/LTP filter "
-               "phases";
-    if (name == "jpeg_compress")
-        return "MediaBench jpeg compress: DCT/quantize/entropy "
-               "block pipeline";
-    if (name == "jpeg_decompress")
-        return "MediaBench jpeg decompress: entropy/dequantize/IDCT "
-               "block pipeline";
-    if (name == "mpeg2_decode")
-        return "MediaBench mpeg2 decode: B-frame paths unseen "
-               "during training";
-    if (name == "mpeg2_encode")
-        return "MediaBench mpeg2 encode: motion-estimation loop "
-               "nests dominate";
-    if (name == "gzip")
-        return "SPEC gzip: deflate with longest_match search, rare "
-               "side paths";
-    if (name == "vpr")
-        return "SPEC vpr: training places, reference routes "
-               "(coverage ~0.1)";
-    if (name == "mcf")
-        return "SPEC mcf: pointer-chasing network simplex, memory "
-               "bound";
-    if (name == "swim")
-        return "SPEC swim: FP shallow-water stencils, "
-               "grid-dependent node set";
-    if (name == "applu")
-        return "SPEC applu: SSOR solver, multiple loop nests per "
-               "subroutine";
-    if (name == "art")
-        return "SPEC art: neural-net matching, one loop with seven "
-               "sub-loops";
-    if (name == "equake")
-        return "SPEC equake: sparse matrix-vector product, stable "
-               "call tree";
-    panic("'%s' is not a suite benchmark", name.c_str());
-}
-
-} // namespace detail
 
 } // namespace mcd::workload

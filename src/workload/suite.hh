@@ -48,15 +48,19 @@ bool isSuiteBenchmark(const std::string &name);
 
 namespace detail
 {
-/** The raw suite constructors, bypassing the registry; @p name must
- *  be a suiteNames() entry (panics otherwise).  Only the suite's
- *  registry factories should call this — everything else goes
- *  through makeBenchmark()/makeWorkload(). */
-Benchmark buildSuiteBenchmark(const std::string &name);
+/** One suite benchmark: registry name, one-line description for
+ *  `--list-workloads` and its raw constructor. */
+struct SuiteEntry
+{
+    const char *name;
+    const char *description;
+    Benchmark (*make)();
+};
 
-/** One-line description of a suite benchmark for
- *  `--list-workloads`. */
-const char *suiteDescription(const std::string &name);
+/** The 19 suite benchmarks, in the paper's order.  `make` bypasses
+ *  the registry: only the suite's registry factories should call
+ *  it — everything else goes through makeBenchmark()/makeWorkload(). */
+const std::vector<SuiteEntry> &suiteTable();
 } // namespace detail
 
 } // namespace mcd::workload

@@ -17,30 +17,30 @@ namespace
 class SuiteWorkload final : public WorkloadFactory
 {
   public:
-    explicit SuiteWorkload(std::string name) : nm(std::move(name))
+    explicit SuiteWorkload(const detail::SuiteEntry &entry) : e(entry)
     {
     }
 
     const char *
     name() const override
     {
-        return nm.c_str();
+        return e.name;
     }
 
     const char *
     description() const override
     {
-        return detail::suiteDescription(nm);
+        return e.description;
     }
 
     Benchmark
     make(const WorkloadSpec &) const override
     {
-        return detail::buildSuiteBenchmark(nm);
+        return e.make();
     }
 
   private:
-    std::string nm;
+    detail::SuiteEntry e;
 };
 
 /** One registrar covering the whole suite (the per-class
@@ -54,9 +54,9 @@ struct SuiteRegistrar
 {
     SuiteRegistrar()
     {
-        for (const std::string &name : suiteNames())
+        for (const detail::SuiteEntry &e : detail::suiteTable())
             WorkloadRegistry::instance().add(
-                std::make_unique<SuiteWorkload>(name));
+                std::make_unique<SuiteWorkload>(e));
     }
 };
 

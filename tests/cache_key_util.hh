@@ -26,7 +26,7 @@ namespace mcd::testpins
 /** Schema tag every cache key must start with.  Bump alongside
  *  CACHE_VERSION in src/exp/experiment.cc (the cache-version-pin
  *  lint keeps the two honest). */
-inline constexpr char CACHE_KEY_TAG[] = "v10|c";
+inline constexpr char CACHE_KEY_TAG[] = "v11|c";
 
 /** Tag plus the 16-hex config fingerprint that follows it. */
 inline constexpr std::size_t CACHE_KEY_PREFIX_LEN =

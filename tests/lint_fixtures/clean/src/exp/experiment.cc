@@ -49,10 +49,6 @@ configFingerprint(const ExpConfig &cfg)
     f.i64(ch.l2PortCycles);
     f.f64(ch.uncoreMaxMhz);
     f.u64(ch.coordIntervalPs);
-
-    const control::LearnedConfig &ln = cfg.learned;
-    f.u64(ln.trainWindow);
-    f.u64(ln.trainPasses);
     return f.h ^ static_cast<std::uint64_t>(CACHE_VERSION);
 }
 

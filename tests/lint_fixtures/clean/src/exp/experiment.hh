@@ -7,7 +7,6 @@
 #include <string>
 
 #include "chip/config.hh"
-#include "control/learned.hh"
 #include "power/power.hh"
 #include "sim/config.hh"
 
@@ -19,7 +18,6 @@ struct ExpConfig
     sim::SimConfig sim;
     power::PowerConfig power;
     chip::ChipConfig chip;
-    control::LearnedConfig learned;
     std::uint64_t profileMaxInstrs = 4000;
 
     // mcd-lint: allow(fingerprint-complete): spelled into the

@@ -21,6 +21,7 @@
 #include "sim/sampling.hh"
 #include "srv/proto.hh"
 #include "srv/server.hh"
+#include "util/text.hh"
 #include "workload/generate.hh"
 #include "workload/registry.hh"
 
@@ -58,7 +59,7 @@ TEST(Docs, PoliciesDocCoversTheRegistry)
                 (pi.type == mcd::control::ParamType::Mode
                      ? std::string(mcd::control::compactModeName(
                            pi.defaultMode))
-                     : mcd::control::fmtFixed(pi.defaultDouble, 3));
+                     : mcd::util::fmtFixed(pi.defaultDouble, 3));
             EXPECT_NE(doc.find(needle), std::string::npos)
                 << "docs/POLICIES.md: policy '" << p->name()
                 << "' parameter row '" << needle
@@ -86,7 +87,7 @@ TEST(Docs, WorkloadsDocCoversTheRegistry)
          mcd::workload::generatorParams()) {
         std::string def =
             pi.integer ? std::to_string((long long)pi.defaultNum)
-                       : mcd::control::fmtFixed(pi.defaultNum, 3);
+                       : mcd::util::fmtFixed(pi.defaultNum, 3);
         std::string needle = "`" + pi.name + "` | " + def;
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "docs/WORKLOADS.md: generator knob row '" << needle
@@ -151,15 +152,15 @@ TEST(Docs, ChipDocCoversTopologyAndKnobs)
     for (const std::string &needle : {
              row("l2PortCycles", std::to_string(def.l2PortCycles)),
              row("uncoreMaxMhz",
-                 mcd::control::fmtFixed(def.uncoreMaxMhz, 3)),
+                 mcd::util::fmtFixed(def.uncoreMaxMhz, 3)),
              row("uncoreMinMhz",
-                 mcd::control::fmtFixed(def.uncoreMinMhz, 3)),
+                 mcd::util::fmtFixed(def.uncoreMinMhz, 3)),
              row("coordIntervalPs",
                  std::to_string(def.coordIntervalPs)),
              row("uncoreClockPj",
-                 mcd::control::fmtFixed(def.uncoreClockPj, 3)),
+                 mcd::util::fmtFixed(def.uncoreClockPj, 3)),
              row("uncoreLeakW",
-                 mcd::control::fmtFixed(def.uncoreLeakW, 3)),
+                 mcd::util::fmtFixed(def.uncoreLeakW, 3)),
          })
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "docs/CHIP.md knob row '" << needle
@@ -229,7 +230,7 @@ TEST(Docs, SamplingDocTracksTheRealKnobsAndSchema)
              row("sampleInstrs", std::to_string(def.sampleInstrs)),
              row("warmupInstrs", std::to_string(def.warmupInstrs)),
              row("ciBiasPct",
-                 mcd::control::fmtFixed(def.ciBiasPct, 3)),
+                 mcd::util::fmtFixed(def.ciBiasPct, 3)),
          })
         EXPECT_NE(doc.find(needle), std::string::npos)
             << "docs/SAMPLING.md knob row '" << needle
@@ -253,8 +254,15 @@ TEST(Docs, ArchitectureDocTracksTheCacheSchemaVersion)
 {
     std::string doc = readDoc("docs/ARCHITECTURE.md");
     // The CACHE_VERSION history table must have a row for the live
-    // schema (v9: learned training knobs fingerprinted) and keep the
-    // prior rows intact.
+    // schema (v11: the learned policy's knobs left the fingerprint)
+    // and keep the prior rows intact.
+    EXPECT_NE(doc.find("| v11 | `learned` policy removed |"),
+              std::string::npos)
+        << "docs/ARCHITECTURE.md lacks the v11 history row";
+    EXPECT_NE(doc.find("| v10 | one kernel path (fast-forward "
+                       "removed) |"),
+              std::string::npos)
+        << "docs/ARCHITECTURE.md lacks the v10 history row";
     EXPECT_NE(doc.find("| v9 | PR 10 (learned policy + "
                        "tournament) |"),
               std::string::npos)
@@ -263,9 +271,7 @@ TEST(Docs, ArchitectureDocTracksTheCacheSchemaVersion)
                        "simulation) |"),
               std::string::npos)
         << "docs/ARCHITECTURE.md lacks the v8 history row";
-    for (const char *token :
-         {"thirteen", "timeCiPs", "SAMPLING.md",
-          "control::LearnedConfig"})
+    for (const char *token : {"thirteen", "timeCiPs", "SAMPLING.md"})
         EXPECT_NE(doc.find(token), std::string::npos)
             << "docs/ARCHITECTURE.md lacks '" << token << "'";
 }

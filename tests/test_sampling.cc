@@ -242,61 +242,6 @@ TEST(SampledRun, MismatchedCheckpointsFallBackToInlineWalk)
 }
 
 // ---------------------------------------------------------------- //
-// Serialization                                                    //
-// ---------------------------------------------------------------- //
-
-TEST(CheckpointIo, SerializeDeserializeRoundTrip)
-{
-    auto bm = std::make_shared<workload::Benchmark>(
-        workload::makeBenchmark("gsm_decode"));
-    sim::SimConfig scfg;
-    scfg.sampling = sampledCfg();
-    std::shared_ptr<const workload::Program> prog(bm, &bm->program);
-    auto built =
-        sim::CheckpointSet::build(prog, bm->train, scfg, 12'000);
-    ASSERT_TRUE(built);
-    std::string bytes;
-    built->serialize(bytes);
-    EXPECT_FALSE(bytes.empty());
-
-    auto loaded = sim::CheckpointSet::deserialize(bytes, prog,
-                                                  bm->train, scfg);
-    ASSERT_TRUE(loaded);
-    EXPECT_EQ(loaded->points().size(), built->points().size());
-    EXPECT_TRUE(loaded->matches(scfg.sampling, 12'000));
-    // The real equivalence check: a replay from the loaded set is
-    // bit-identical to one from the freshly built set.
-    expectSameResult(runOnce(*bm, scfg, 12'000, built),
-                     runOnce(*bm, scfg, 12'000, loaded));
-}
-
-TEST(CheckpointIo, CorruptBlobsReturnNull)
-{
-    auto bm = std::make_shared<workload::Benchmark>(
-        workload::makeBenchmark("gsm_decode"));
-    sim::SimConfig scfg;
-    scfg.sampling = sampledCfg();
-    std::shared_ptr<const workload::Program> prog(bm, &bm->program);
-    auto built =
-        sim::CheckpointSet::build(prog, bm->train, scfg, 12'000);
-    std::string bytes;
-    built->serialize(bytes);
-
-    EXPECT_EQ(sim::CheckpointSet::deserialize("", prog, bm->train,
-                                              scfg),
-              nullptr);
-    std::string bad_magic = bytes;
-    bad_magic[0] ^= 0x5a;
-    EXPECT_EQ(sim::CheckpointSet::deserialize(bad_magic, prog,
-                                              bm->train, scfg),
-              nullptr);
-    std::string truncated = bytes.substr(0, bytes.size() / 2);
-    EXPECT_EQ(sim::CheckpointSet::deserialize(truncated, prog,
-                                              bm->train, scfg),
-              nullptr);
-}
-
-// ---------------------------------------------------------------- //
 // exp/ integration                                                 //
 // ---------------------------------------------------------------- //
 

@@ -395,7 +395,7 @@ TEST(ServerTranscript, EveryRegisteredPolicyAnswersOrErrs)
         ASSERT_TRUE(conn.writeLine("MCD/2 PING"));
         ASSERT_EQ(readLineChecked(conn), "MCD/2 OK");
     }
-    EXPECT_GE(n, 8);
+    EXPECT_GE(n, 7);
 }
 
 // ---------------------------------------------------------------- //

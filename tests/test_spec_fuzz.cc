@@ -59,9 +59,9 @@ policyCorpus()
         "online:aggr=1.5",
         "profile:mode=LF,d=10",
         "global:d=5",
-        "learned",
-        "learned:seed=3,lr=0.1",
-        "learned:explore=0.5,interval=1000,seed=2",
+        "hybrid",
+        "hybrid:guard=0.2,interval=1000",
+        "hybrid:interval=500,d=10,mode=LFCP",
     };
     return corpus;
 }
@@ -295,7 +295,7 @@ TEST(SpecFuzz, HostileTournamentPlansDieCatchablyOrKeyCleanly)
         exp::TournamentConfig cfg;
         cfg.workloads = {"gsm_decode"};
         cfg.policies = {
-            srv::mutateLine("learned:seed=3,lr=0.1", f, seed)};
+            srv::mutateLine("hybrid:guard=0.2,interval=1000", f, seed)};
         SCOPED_TRACE("policy '" + cfg.policies[0] + "'");
         survivors += tryPlan(cfg);
 

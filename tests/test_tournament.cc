@@ -42,8 +42,6 @@ smallConfig()
     cfg.productionWindow = 8'000;
     cfg.analysisWindow = 8'000;
     cfg.offlineInterval = 4'000;
-    cfg.learned.trainWindow = 6'000;
-    cfg.learned.trainPasses = 2;
     cfg.cacheFile.clear();
     return cfg;
 }
@@ -69,7 +67,7 @@ TEST(TournamentSplit, MembershipIsPinned)
 {
     // The split IS the experiment: heuristics were hand-tuned on the
     // curated suite, so the held-out `gen:` workloads are the only
-    // honest ground for the learned policy's ranking.  Changing
+    // honest ground for a policy's ranking.  Changing
     // membership silently would invalidate every committed ranking.
     EXPECT_EQ(workload::trainingSplit(),
               (std::vector<std::string>{"gsm_decode", "adpcm_decode",
@@ -98,8 +96,7 @@ TEST(TournamentPlan, DefaultRosterIsEverySweepablePolicy)
     for (const std::string &spec : t.policies())
         names.push_back(spec.substr(0, spec.find(':')));
     for (const char *want : {"baseline", "global", "hybrid",
-                             "learned", "offline", "online",
-                             "profile"})
+                             "offline", "online", "profile"})
         EXPECT_NE(std::find(names.begin(), names.end(), want),
                   names.end())
             << want;

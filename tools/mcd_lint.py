@@ -64,7 +64,6 @@ FINGERPRINT_STRUCTS = {
     "PowerConfig": ("src/power/power.hh", "p"),
     "ExpConfig": ("src/exp/experiment.hh", "cfg"),
     "ChipConfig": ("src/chip/config.hh", "ch"),
-    "LearnedConfig": ("src/control/learned.hh", "ln"),
     "TournamentConfig": ("src/exp/tournament.hh", "tn"),
 }
 

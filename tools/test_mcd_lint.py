@@ -67,13 +67,6 @@ CASES = {
         ("src/exp/experiment.cc",
          "    f.f64(ch.uncoreMaxMhz);\n", ""),
     ],
-    # PR 10's bug class, learned flavor: a training knob shapes the
-    # learned policy's frozen weights (and so every cached learned
-    # outcome) but silently leaves the fingerprint.
-    "learned-knob-unfingerprinted": [
-        ("src/exp/experiment.cc",
-         "    f.u64(ln.trainWindow);\n", ""),
-    ],
     # ...and the chip coordinator falls out of its OBJECT library.
     "chip-missing-cmake-entry": [
         ("src/chip/CMakeLists.txt",
